@@ -13,9 +13,10 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,8 @@ class RunConfig:
             raise ValidationError(f"dimension must be >= 2, got {self.n}")
         if not 1 <= self.m < self.n:
             raise ValidationError(f"block size must satisfy 1 <= m < n, got {self.m}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
         if self.t_samples < 1:
@@ -167,25 +168,32 @@ def _header_lines(command: str, config: dict) -> list:
     return lines
 
 
-def write_table(path, fmt: str, command: str, config: dict, columns, rows, summary=None):
-    """Write one output table; CSV gets a commented header block, JSON mirrors it."""
-    path = Path(path)
-    if fmt == "csv":
-        lines = _header_lines(command, config)
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(format_float(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        payload = {
-            "command": command,
-            "config": config,
-            "columns": list(columns),
-            "rows": [list(map(float, row)) for row in rows],
-        }
-        if summary is not None:
-            payload["summary"] = summary
-        path.write_text(dumps_json(payload) + "\n", encoding="utf-8")
+#: Rows formatted per write; the writer's memory is one chunk, not the table.
+WRITE_CHUNK_ROWS = 4096
+
+
+def write_table(path, fmt: str, command: str, config: dict, columns, data, summary=None):
+    """Write one output table from its equal-length columns `data`.
+
+    CSV gets a commented header block, JSON mirrors it.  Rows are stacked
+    and formatted WRITE_CHUNK_ROWS at a time with one %.17g format string
+    (the text of :func:`format_float`) and written to the open file.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        if fmt == "csv":
+            handle.write("\n".join(_header_lines(command, config) + [",".join(columns)]) + "\n")
+            row, sep, lead, end = ",".join(["%.17g"] * len(data)), "\n", "", "\n"
+        else:
+            head = dumps_json({"command": command, "config": config, "columns": list(columns)})
+            handle.write(head[:-1] + ', "rows": [')  # the object stays open for the rows
+            row, sep, lead, end = "[" + ", ".join(["%.17g"] * len(data)) + "]", ", ", ", ", ""
+        for lo in range(0, len(data[0]), WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([column[lo : lo + WRITE_CHUNK_ROWS] for column in data])
+            text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+            handle.write((lead if lo else "") + text + end)
+        if fmt != "csv":
+            tail = "" if summary is None else f', "summary": {dumps_json(summary)}'
+            handle.write("]" + tail + "}\n")
 
 
 def write_summary(path, summary: dict):
@@ -210,8 +218,8 @@ def parse_bin_spec(spec: str, default_range=None):
         lo, hi = default_range
     if count < 1:
         raise ValidationError(f"bin count must be >= 1, got {count}")
-    if not lo < hi:
-        raise ValidationError(f"bin range must be increasing, got [{lo}, {hi}]")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValidationError(f"bin range must be finite and increasing, got [{lo}, {hi}]")
     return np.linspace(lo, hi, count + 1)
 
 
@@ -228,23 +236,6 @@ def _eps_path(out: str, eps: float, multi: bool) -> Path:
 
 SAMPLE_COLUMNS = ("realization", "level", "t", "E", "Edot", "Eddot", "xdot", "xddot", "K", "k")
 HIST_COLUMNS = ("bin_lo", "bin_hi", "count", "density", "model_density")
-
-
-def _batch_rows(batch):
-    return np.column_stack(
-        [
-            batch.realization,
-            batch.level,
-            batch.t,
-            batch.energy,
-            batch.raw_velocity,
-            batch.raw_curvature,
-            batch.unfolded_velocity,
-            batch.unfolded_curvature,
-            batch.rescaled,
-            batch.normalized,
-        ]
-    )
 
 
 def _print_arm(summary: dict):
@@ -275,7 +266,7 @@ def cmd_simulate(config: RunConfig) -> int:
             "simulate",
             config.header_dict(i),
             SAMPLE_COLUMNS,
-            _batch_rows(batch),
+            [getattr(batch, field.name) for field in fields(batch)],  # SAMPLE_COLUMNS order
             summary=summary,
         )
         write_summary(str(path) + ".summary.json", summary)
@@ -294,7 +285,7 @@ def cmd_density(config: RunConfig) -> int:
     eigenvalues = pooled_eigenvalues(arm, config.realizations, config.jobs)
     hist = build_histogram(eigenvalues, edges)
     model_density = np.asarray(mean_density(model, hist.centers)) / config.n
-    rows = np.column_stack([edges[:-1], edges[1:], hist.counts, hist.density, model_density])
+    rows = [edges[:-1], edges[1:], hist.counts, hist.density, model_density]
 
     expected = model_density * hist.widths * hist.total
     keep = expected >= 1.0
@@ -340,7 +331,7 @@ def cmd_sweep(config: RunConfig) -> int:
         batch, info = run_arm(arm, config.realizations, config.jobs)
         summaries.append(arm_summary(arm, batch, info))
         hist = build_histogram(batch.normalized, edges)
-        rows = np.column_stack([edges[:-1], edges[1:], hist.counts, hist.density, reference])
+        rows = [edges[:-1], edges[1:], hist.counts, hist.density, reference]
         write_table(
             out_dir / f"hist_eps{eps:g}.{config.format}",
             config.format,
@@ -359,40 +350,38 @@ def cmd_sweep(config: RunConfig) -> int:
         "sweep",
         config.header_dict(),
         overlay_columns,
-        np.column_stack(overlay),
+        overlay,
     )
     write_summary(out_dir / "summary.json", {"arms": summaries})
     print(f"wrote {out_dir}")
     return 0
 
 
-def _read_fit_input(path: str, kind: str):
+def _read_fit_input(path: str, kind: str) -> np.ndarray:
     """Raw curvature samples or (position, density) pairs from a text file."""
+    width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
     values = []
-    pairs = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.replace(",", " ").split()
             try:
-                numbers = [float(f) for f in fields]
+                numbers = [float(f) for f in line.replace(",", " ").split()]
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: cannot parse {line!r}") from exc
-            if kind == "samples":
-                if len(numbers) != 1:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: expected one value per line, got {len(numbers)}"
-                    )
-                values.append(numbers[0])
-            else:
-                if len(numbers) != 2:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: expected 'position density', got {len(numbers)} fields"
-                    )
-                pairs.append(numbers)
-    return values if kind == "samples" else pairs
+            if len(numbers) != width:
+                raise ValidationError(f"{path}: line {lineno}: expected {expected}, "
+                                      f"got {len(numbers)} fields")
+            values.append(numbers[0] if width == 1 else numbers)
+    data = np.asarray(values, dtype=float)
+    if not np.isfinite(data).all():  # the line is looked up only on this error path
+        first = int(np.argmin(np.isfinite(data).reshape(len(data), -1).all(axis=1)))
+        with open(path, "r", encoding="utf-8") as handle:
+            data_lines = (n for n, raw in enumerate(handle, 1) if raw.strip()[:1] not in ("", "#"))
+            lineno = next(itertools.islice(data_lines, first, None))
+        raise ValidationError(f"{path}: line {lineno}: non-finite value")
+    return data
 
 
 def _histogram_from_pairs(pairs) -> Histogram:
@@ -429,7 +418,7 @@ def cmd_fit(args) -> int:
     if kind == "samples":
         if len(data) < 10:
             raise ValidationError(f"only {len(data)} samples in {args.input}; need at least 10")
-        samples = np.asarray(data, dtype=float)
+        samples = data
         edges = parse_bin_spec(args.bins, default_range=(-5.0, 5.0))
         # Non-truncated normalization keeps the binned density an unbiased
         # estimate of the underlying density on the range, which the
@@ -447,7 +436,7 @@ def cmd_fit(args) -> int:
         print(f"KS vs universal    = {ks_statistic(samples, 1.0):.4g}")
     if args.out:
         grid = np.linspace(hist.edges[0], hist.edges[-1], 201)
-        rows = np.column_stack([grid, gamma_pdf(grid, fit.gamma), universal_pdf(grid)])
+        rows = [grid, gamma_pdf(grid, fit.gamma), universal_pdf(grid)]
         config = {
             "input": args.input,
             "input_kind": kind,

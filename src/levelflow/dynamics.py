@@ -67,14 +67,15 @@ class SpectralFrame:
     degenerate_mask flags levels whose nearest-neighbour gap fell below
     the degeneracy tolerance; their curvature is stored but untrusted.
     block_sizes is (n,) for full-spectrum frames and lists per-block
-    dimensions when the frame was assembled block by block.
+    dimensions when the frame was assembled block by block.  Frames of
+    selected rows hold nan for other levels (per-block: no p_matrix).
     """
 
     t: float
     energies: np.ndarray
     velocities: np.ndarray
     curvatures: np.ndarray
-    p_matrix: np.ndarray
+    p_matrix: np.ndarray | None
     degenerate_mask: np.ndarray
     block_sizes: tuple = field(default=())
 
@@ -111,16 +112,6 @@ def _eigh(h: np.ndarray, context: str):
         ) from exc
 
 
-def _fix_eigenvector_signs(u: np.ndarray) -> np.ndarray:
-    # Make each column's largest-magnitude entry positive. Curvatures only
-    # ever use squares of P entries, but a fixed convention keeps P itself
-    # reproducible.
-    leads = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[leads, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    return u * signs
-
-
 def _local_gaps(energies: np.ndarray) -> np.ndarray:
     """Distance of each level to its nearest neighbour (inf for a 1-level frame)."""
     if len(energies) < 2:
@@ -129,42 +120,51 @@ def _local_gaps(energies: np.ndarray) -> np.ndarray:
     return np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
 
 
-def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray) -> np.ndarray:
+def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray, rows=None) -> np.ndarray:
     """Closed-form curvatures from energies and the rotated perturbation matrix.
 
-    Exactly coincident levels contribute nothing to each other's sum; any
-    such level is flagged by the degeneracy mask and its curvature is not
-    to be trusted anyway.
+    p_matrix holds the rows `rows` of P (all rows by default), the levels
+    whose curvatures are returned.  Exactly coincident levels contribute
+    nothing to each other's sum; any such level is flagged by the
+    degeneracy mask and its curvature is not to be trusted anyway.
     """
-    diff = energies[:, None] - energies[None, :]
-    np.fill_diagonal(diff, np.inf)
+    rows = np.arange(len(energies)) if rows is None else rows
+    diff = energies[rows, None] - energies[None, :]
+    diff[np.arange(len(rows)), rows] = np.inf
     diff[diff == 0.0] = np.inf
-    return -energies + 2.0 * np.sum(p_matrix * p_matrix / diff, axis=1)
+    return -energies[rows] + 2.0 * np.sum(p_matrix * p_matrix / diff, axis=1)
 
 
 def spectral_frame(
     pair: RotatingPair,
     t: float,
     degeneracy_tol: float | None = None,
+    rows=None,
 ) -> SpectralFrame:
     """Diagonalize H(t) and evaluate level velocities and curvatures.
 
     degeneracy_tol defaults to 1e-8 times the half-spread of the computed
-    spectrum (about the semicircle radius for GOE-scaled input).
+    spectrum (about the semicircle radius for GOE-scaled input).  rows,
+    if given, are the levels whose velocities and curvatures are wanted.
+    P itself is formed in full: BLAS tiles and threads a product's rows
+    by its shape, so selected rows alone can differ in the last bit.
     """
     energies, u = _eigh(hamiltonian_at(pair, t), f"H(t) at t={t}")
-    u = _fix_eigenvector_signs(u)
-    p = u.T @ hamiltonian_rate(pair, t, 1) @ u
     if degeneracy_tol is None:
         # Positive floor so exactly coincident spectra still get masked.
         degeneracy_tol = max(1e-8 * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
     elif not degeneracy_tol > 0:
         raise ValidationError(f"degeneracy tolerance must be positive, got {degeneracy_tol}")
+    p = u.T @ hamiltonian_rate(pair, t, 1) @ u
+    picked = np.arange(len(energies)) if rows is None else np.asarray(rows, dtype=int)
+    velocities, curvatures = np.full((2, len(energies)), np.nan)
+    velocities[picked] = p[picked, picked]
+    curvatures[picked] = curvature_sums(energies, p[picked], picked)
     return SpectralFrame(
         t=float(t),
         energies=energies,
-        velocities=np.diag(p).copy(),
-        curvatures=curvature_sums(energies, p),
+        velocities=velocities,
+        curvatures=curvatures,
         p_matrix=p,
         degenerate_mask=_local_gaps(energies) < degeneracy_tol,
     )
@@ -175,6 +175,7 @@ def spectral_frame_blocks(
     t: float,
     block_sizes: tuple,
     degeneracy_tol: float | None = None,
+    rows=None,
 ) -> SpectralFrame:
     """Per-block frame for exactly block-diagonal pairs (decoupled ensemble).
 
@@ -182,22 +183,25 @@ def spectral_frame_blocks(
     never mix levels of different blocks and free crossings between
     blocks cannot trip the degeneracy guard.  energies are ascending
     within each block; p_matrix is assembled block-diagonal, which is the
-    exact result since cross-block couplings vanish identically.
+    exact result since cross-block couplings vanish identically, unless
+    rows (block offset + in-block position, as in :func:`spectral_frame`)
+    are given: then it is None.
     """
     if sum(block_sizes) != pair.dim:
         raise ValidationError(
             f"block sizes {block_sizes} do not add up to dimension {pair.dim}"
         )
+    rows = None if rows is None else np.asarray(rows, dtype=int)
+    offsets = np.cumsum((0,) + tuple(block_sizes))
     frames = []
-    lo = 0
-    for size in block_sizes:
-        frames.append(spectral_frame(pair.block(lo, lo + size), t, degeneracy_tol))
-        lo += size
-    p = np.zeros((pair.dim, pair.dim))
-    lo = 0
-    for fr, size in zip(frames, block_sizes):
-        p[lo : lo + size, lo : lo + size] = fr.p_matrix
-        lo += size
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        local = None if rows is None else rows[(rows >= lo) & (rows < hi)] - lo
+        frames.append(spectral_frame(pair.block(lo, hi), t, degeneracy_tol, local))
+    p = None
+    if rows is None:
+        p = np.zeros((pair.dim, pair.dim))
+        for fr, lo, hi in zip(frames, offsets[:-1], offsets[1:]):
+            p[lo:hi, lo:hi] = fr.p_matrix
     return SpectralFrame(
         t=float(t),
         energies=np.concatenate([fr.energies for fr in frames]),

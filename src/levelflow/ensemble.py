@@ -67,7 +67,7 @@ def epsilon_lambda(n: int, value: float, direction: str) -> float:
     """
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
-    if value < 0:
+    if not value >= 0:
         raise ValidationError(f"value must be non-negative, got {value}")
     root = float(np.sqrt(n))
     if direction == "to_lambda":

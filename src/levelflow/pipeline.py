@@ -18,8 +18,10 @@ curvature sums and the degeneracy guard.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .unfolding import (
     rescale_batch,
     select_levels,
     unfold_dynamics,
+    window_levels,
 )
 
 #: Couplings below this are treated as exactly decoupled (per-block mode).
@@ -80,6 +83,7 @@ def realization_rows(arm: ArmParams, realization: int):
     (n_samples, 8) array with columns (realization, level, t, E, Edot,
     Eddot, xdot, xddot).  Levels are indexed by position in the ascending
     spectrum (block offset + in-block position for per-block frames).
+    Frames evaluate velocities and curvatures of the central window only.
     """
     spec = EnsembleSpec(n=arm.n, m=arm.m, lam=arm.lam, alpha=arm.alpha, seed=arm.seed)
     rng = child_rng(arm.seed, arm.eps_index, realization)
@@ -87,7 +91,8 @@ def realization_rows(arm: ArmParams, realization: int):
     ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
     model = arm.density_model()
     tol = DEGENERACY_SCALE * model.radius
-    blocks = (arm.m, arm.n - arm.m)
+    blocks = (arm.m, arm.n - arm.m) if arm.per_block else (arm.n,)
+    window = window_levels(blocks, arm.window_fraction)
     edge_limit = model.radius * (1.0 - arm.edge_margin)
 
     chunks = []
@@ -95,35 +100,21 @@ def realization_rows(arm: ArmParams, realization: int):
     dropped_edge = 0
     for t in ts:
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, blocks, tol)
+            frame = spectral_frame_blocks(pair, t, blocks, tol, window)
         else:
-            frame = spectral_frame(pair, t, tol)
+            frame = spectral_frame(pair, t, tol, window)
         idx = select_levels(frame, arm.window_fraction, per_block=arm.per_block)
-        window_total = sum(
-            max(int(round(arm.window_fraction * size)), 1)
-            for size in (blocks if arm.per_block else (arm.n,))
-        )
-        dropped_degenerate += window_total - len(idx)
+        dropped_degenerate += len(window) - len(idx)
         inside = np.abs(frame.energies[idx]) <= edge_limit
         dropped_edge += int(np.sum(~inside))
         idx = idx[inside]
         if len(idx) == 0:
             continue
         xdot, xddot = unfold_dynamics(model, frame, idx, arm.edge_margin)
-        chunks.append(
-            np.column_stack(
-                [
-                    np.full(len(idx), realization, dtype=float),
-                    idx.astype(float),
-                    np.full(len(idx), t),
-                    frame.energies[idx],
-                    frame.velocities[idx],
-                    frame.curvatures[idx],
-                    xdot,
-                    xddot,
-                ]
-            )
-        )
+        chunks.append(np.column_stack([
+            np.full(len(idx), realization), idx, np.full(len(idx), t), frame.energies[idx],
+            frame.velocities[idx], frame.curvatures[idx], xdot, xddot,
+        ]))
     rows = np.concatenate(chunks) if chunks else np.empty((0, 8))
     return rows, dropped_degenerate, dropped_edge
 
@@ -143,13 +134,31 @@ def _eigenvalues_task(args):
     return realization_eigenvalues(*args)
 
 
+def _single_threaded_blas():
+    """Pool initializer: one BLAS thread per worker, where numpy's bundled OpenBLAS allows.
+
+    Forked workers otherwise keep the parent's BLAS threads and crowd the cores."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:  # an initializer that raises would make the pool respawn workers forever
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
     if realizations < 1:
         raise ValidationError(f"realization count must be >= 1, got {realizations}")
     args = [(arm, r) for r in range(realizations)]
     if jobs <= 1 or realizations == 1:
         return [task(a) for a in args]
-    with multiprocessing.Pool(min(jobs, realizations)) as pool:
+    with multiprocessing.Pool(min(jobs, realizations), _single_threaded_blas) as pool:
         return pool.map(task, args, chunksize=max(realizations // (4 * jobs), 1))
 
 

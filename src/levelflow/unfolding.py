@@ -138,18 +138,22 @@ def select_levels(
     With per_block set (the decoupled-ensemble mode) the window is
     applied inside each block of a block-mode frame separately.
     """
+    indices = window_levels(frame.block_sizes if per_block else (frame.dim,), window_fraction)
+    return indices[~frame.degenerate_mask[indices]]
+
+
+def window_levels(block_sizes: tuple, window_fraction: float = 0.5) -> np.ndarray:
+    """The round(window_fraction * size) levels centred by index in each block."""
     if not 0.0 < window_fraction <= 1.0:
         raise ValidationError(f"window fraction must lie in (0, 1], got {window_fraction}")
-    blocks = frame.block_sizes if per_block else (frame.dim,)
     picked = []
     offset = 0
-    for size in blocks:
+    for size in block_sizes:
         keep = max(int(round(window_fraction * size)), 1)
         lo = offset + (size - keep) // 2
         picked.append(np.arange(lo, lo + keep))
         offset += size
-    indices = np.concatenate(picked)
-    return indices[~frame.degenerate_mask[indices]]
+    return np.concatenate(picked)
 
 
 @dataclass
@@ -160,7 +164,8 @@ class CurvatureBatch:
     columns are filled in pipeline order: raw dynamics first, unfolded
     dynamics next, then rescaled (K) by :func:`rescale_batch` and
     normalized (k) by :func:`normalize_batch`.  The rescaled/normalized
-    columns stay None until the corresponding pass has run.
+    columns stay None until the corresponding pass has run.  :meth:`from_rows`
+    takes the physics columns as views; the CLI writes them a chunk at a time.
     """
 
     realization: np.ndarray
@@ -180,16 +185,8 @@ class CurvatureBatch:
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "CurvatureBatch":
         """Build from an (n, 8) row matrix ordered like the dataclass columns."""
-        return cls(
-            realization=rows[:, 0].astype(int),
-            level=rows[:, 1].astype(int),
-            t=rows[:, 2],
-            energy=rows[:, 3],
-            raw_velocity=rows[:, 4],
-            raw_curvature=rows[:, 5],
-            unfolded_velocity=rows[:, 6],
-            unfolded_curvature=rows[:, 7],
-        )
+        realization, level, *physics = rows.T
+        return cls(realization.astype(int), level.astype(int), *physics)
 
 
 def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from levelflow import gamma_cdf, model_bin_density, sample_gamma_dist, child_rng
-from levelflow.cli import main, parse_bin_spec, dumps_json
+from levelflow import cli
+from levelflow.cli import main, parse_bin_spec, dumps_json, format_float, write_table
 from levelflow.errors import ValidationError
 
 
@@ -196,15 +197,36 @@ def test_fit_malformed_line_names_line_number(tmp_path, capsys):
     assert "line 17" in err
 
 
+@pytest.mark.parametrize(
+    "kind, bad", [("samples", "nan"), ("samples", "-inf"), ("binned", "0.25 inf")]
+)
+def test_fit_non_finite_value_names_line_number(tmp_path, capsys, kind, bad):
+    lines = ["# header"] + [
+        format(0.1 * i, ".6g") + ("" if kind == "samples" else f" {0.01 * i:.6g}")
+        for i in range(1, 30)
+    ]
+    lines[16] = bad  # line 17
+    data = tmp_path / "bad.txt"
+    data.write_text("\n".join(lines) + "\n")
+    code = run(["fit", "--input", data, "--input-kind", kind])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 17" in err and "non-finite" in err
+
+
 def test_fit_missing_file_is_io_error(tmp_path):
     assert run(["fit", "--input", tmp_path / "nope.txt"]) == 3
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, capsys):
     # unknown flag value and impossible epsilon both exit 1
     assert run(["simulate", "--epsilon", 1.0, "--n", 1, "--out", tmp_path / "x.csv"]) == 1
     assert run(["simulate", "--n", 16, "--epsilon", 9.0, "--out", tmp_path / "x.csv"]) == 1
     assert run(["simulate", "--out", tmp_path / "x.csv"]) == 1  # epsilon required
+    assert run(["simulate", "--epsilon", "nan", "--out", tmp_path / "x.csv"]) == 1
+    capsys.readouterr()
+    assert run(["simulate", "--epsilon", 1.0, "--alpha", "inf", "--out", tmp_path / "x.csv"]) == 1
+    assert "alpha must be positive and finite" in capsys.readouterr().err
 
 
 def test_parse_bin_spec():
@@ -220,6 +242,8 @@ def test_parse_bin_spec():
         parse_bin_spec("10:5:-5")
     with pytest.raises(ValidationError):
         parse_bin_spec("0:0:1")
+    with pytest.raises(ValidationError):
+        parse_bin_spec("4:-inf:inf")
 
 
 def test_dumps_json_formats():
@@ -227,3 +251,33 @@ def test_dumps_json_formats():
     parsed = json.loads(text)
     assert parsed == {"a": 0.1, "b": [1, 2.5], "c": None, "d": True, "e": "x"}
     assert "0.10000000000000001" in text  # 17 significant digits
+
+
+def _per_value_table(fmt, command, config, names, columns, summary):
+    """The table text as formatted one value at a time with format_float."""
+    rows = np.column_stack(columns)
+    if fmt == "csv":
+        lines = cli._header_lines(command, config) + [",".join(names)]
+        lines += [",".join(format_float(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {"command": command, "config": config, "columns": list(names),
+               "rows": [list(map(float, row)) for row in rows]}
+    if summary is not None:
+        payload["summary"] = summary
+    return dumps_json(payload) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 8, 11])
+def test_chunked_writer_matches_per_value_format(tmp_path, monkeypatch, fmt, n_rows):
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 4)
+    awkward = np.array([-0.0, 1e16, 5e-324, 3.0, np.nan, 0.1, -2.5e-300, 123456789.0,
+                        np.inf, 1.0 / 3.0, -1e-5])[:n_rows]
+    columns = [awkward, np.arange(n_rows), awkward[::-1] * 7.0]
+    names = ("a", "count", "b")
+    config = {"n": 4, "alpha": 0.5, "epsilon_list": [0.0, 0.32]}
+    for summary in (None, {"x": 0.1, "ok": True}):
+        path = tmp_path / f"t.{fmt}"
+        write_table(path, fmt, "simulate", config, names, columns, summary=summary)
+        expected = _per_value_table(fmt, "simulate", config, names, columns, summary)
+        assert path.read_text() == expected

@@ -221,3 +221,21 @@ def test_block_frames_match_blockwise_diagonalization():
     assert np.all(frame.p_matrix[:4, 4:] == 0.0)
     with pytest.raises(ValidationError):
         spectral_frame_blocks(pair, 0.6, (3, 6))
+
+
+def test_row_frames_equal_full_frames_on_their_rows():
+    pair = goe_pair(50, seed=78)
+    rows = np.arange(12, 37)
+    full = spectral_frame(pair, 0.9)
+    part = spectral_frame(pair, 0.9, rows=rows)
+    others = np.setdiff1d(np.arange(50), rows)
+    assert np.array_equal(part.energies, full.energies)
+    assert np.array_equal(part.degenerate_mask, full.degenerate_mask)
+    for name in ("velocities", "curvatures"):
+        assert np.array_equal(getattr(part, name)[rows], getattr(full, name)[rows])
+        assert np.all(np.isnan(getattr(part, name)[others]))
+    blocks_full = spectral_frame_blocks(pair, 0.9, (20, 30))
+    blocks_part = spectral_frame_blocks(pair, 0.9, (20, 30), rows=rows)
+    assert blocks_part.p_matrix is None and blocks_part.dim == 50
+    assert np.array_equal(blocks_part.curvatures[rows], blocks_full.curvatures[rows])
+    assert np.all(np.isnan(blocks_part.curvatures[others]))

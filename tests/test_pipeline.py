@@ -1,8 +1,30 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from levelflow import ValidationError, arm_from_epsilon, arm_summary, run_arm
-from levelflow.pipeline import ArmParams, pooled_eigenvalues, realization_rows
+from levelflow import (
+    RotatingPair,
+    EnsembleSpec,
+    ValidationError,
+    arm_from_epsilon,
+    arm_summary,
+    child_rng,
+    run_arm,
+    sample_coupled,
+    select_levels,
+    spectral_frame,
+    spectral_frame_blocks,
+    unfold_dynamics,
+)
+from levelflow.pipeline import (
+    DEGENERACY_SCALE,
+    ArmParams,
+    _map_realizations,
+    pooled_eigenvalues,
+    realization_rows,
+)
 
 
 def test_arm_from_epsilon_maps_coupling():
@@ -60,6 +82,23 @@ def test_run_arm_is_job_count_invariant():
     np.testing.assert_array_equal(serial.energy, parallel.energy)
 
 
+def _blas_threads_task(args):
+    """Thread count of numpy's bundled OpenBLAS in the calling process, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            return getter()
+    return None
+
+
+def test_workers_run_blas_on_one_thread():
+    arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
+    threads = _map_realizations(_blas_threads_task, arm, realizations=2, jobs=2)
+    if threads[0] is None:
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+    assert threads == [1, 1]
+
+
 def test_run_arm_validation():
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     with pytest.raises(ValidationError):
@@ -87,3 +126,43 @@ def test_window_choice_insensitivity():
     # shared realizations make the arms positively correlated, so the
     # independent-sample 3 sigma bound is conservative
     assert abs(f_narrow - f_wide) < 3 * sigma
+
+
+def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
+    """(E, Edot, Eddot, xdot, xddot) of one realization, every frame evaluated on all rows."""
+    spec = EnsembleSpec(n=arm.n, m=arm.m, lam=arm.lam, alpha=arm.alpha, seed=arm.seed)
+    rng = child_rng(arm.seed, arm.eps_index, realization)
+    pair = RotatingPair(sample_coupled(spec, rng), sample_coupled(spec, rng))
+    model = arm.density_model()
+    tol = DEGENERACY_SCALE * model.radius
+    out = []
+    for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
+        if arm.per_block:
+            frame = spectral_frame_blocks(pair, t, (arm.m, arm.n - arm.m), tol)
+        else:
+            frame = spectral_frame(pair, t, tol)
+        idx = select_levels(frame, arm.window_fraction, per_block=arm.per_block)
+        idx = idx[np.abs(frame.energies[idx]) <= model.radius * (1.0 - arm.edge_margin)]
+        xdot, xddot = unfold_dynamics(model, frame, idx, arm.edge_margin)
+        out.append(np.column_stack([frame.energies[idx], frame.velocities[idx],
+                                    frame.curvatures[idx], xdot, xddot]))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "n, m, lam",
+    [
+        (100, 50, 0.1),  # coupled
+        (100, 50, 0.0),  # per-block, 50-level blocks
+        (60, 20, 0.0),  # per-block, uneven split
+        (60, 20, 0.13),  # coupled, uneven split
+    ],
+)
+def test_window_frames_match_full_frames_bit_for_bit(n, m, lam):
+    arm = ArmParams(n=n, m=m, alpha=0.5, lam=lam, seed=17, t_samples=3)
+    for realization in range(3):
+        rows, _, _ = realization_rows(arm, realization)
+        full = _full_frame_columns(arm, realization)
+        assert rows.shape == (len(full), 8)
+        for column in range(5):  # E, Edot, Eddot, xdot, xddot
+            assert np.array_equal(rows[:, 3 + column], full[:, column])
