@@ -2,32 +2,24 @@
 
 Pipeline: sample the two-block ensemble (:mod:`levelflow.ensemble`),
 evolve spectra along the rotation path and extract exact velocities and
-curvatures (:mod:`levelflow.dynamics`), unfold and rescale them
+curvatures (:mod:`levelflow.dynamics`, cross-checked by
+:mod:`levelflow.checks`), unfold and rescale them
 (:mod:`levelflow.unfolding`), and analyze the resulting distributions
 (:mod:`levelflow.statistics`).  The ``levelflow`` CLI wires these into
 reproducible simulation sweeps.
 """
 
+from .checks import curvature_fd_oracle, integrate_motion, rotation_frame_check
 from .dynamics import (
     RotatingPair,
     SpectralFrame,
-    curvature_fd_oracle,
     curvature_sums,
     hamiltonian_at,
     hamiltonian_rate,
-    integrate_motion,
-    rotation_frame_check,
     spectral_frame,
     spectral_frame_blocks,
 )
-from .ensemble import (
-    DEFAULT_ALPHA,
-    EnsembleSpec,
-    child_rng,
-    epsilon_lambda,
-    sample_coupled,
-    sample_goe,
-)
+from .ensemble import DEFAULT_ALPHA, child_rng, lambda_from_epsilon, sample_coupled, sample_goe
 from .errors import (
     DegenerateSpectrumError,
     EigensolverError,
@@ -36,7 +28,7 @@ from .errors import (
     StencilCrossingError,
     ValidationError,
 )
-from .pipeline import ArmParams, arm_from_epsilon, arm_summary, pooled_eigenvalues, run_arm
+from .pipeline import ArmParams, arm_summary, pooled_eigenvalues, run_arm
 from .statistics import (
     DistributionFit,
     Histogram,
@@ -74,7 +66,6 @@ __all__ = [
     "DensityModel",
     "DistributionFit",
     "EigensolverError",
-    "EnsembleSpec",
     "Histogram",
     "LevelflowError",
     "NumericalError",
@@ -82,14 +73,12 @@ __all__ = [
     "SpectralFrame",
     "StencilCrossingError",
     "ValidationError",
-    "arm_from_epsilon",
     "arm_summary",
     "build_histogram",
     "child_rng",
     "curvature_fd_oracle",
     "curvature_sums",
     "density_slope",
-    "epsilon_lambda",
     "fit_gamma",
     "gamma_cdf",
     "gamma_pdf",
@@ -97,6 +86,7 @@ __all__ = [
     "hamiltonian_rate",
     "integrate_motion",
     "ks_statistic",
+    "lambda_from_epsilon",
     "loglog_slope",
     "mean_density",
     "model_bin_density",

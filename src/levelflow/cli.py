@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import DEFAULT_ALPHA, epsilon_lambda
+from .ensemble import DEFAULT_ALPHA, check_scale, lambda_from_epsilon
 from .errors import LevelflowError, ValidationError
 from .pipeline import ArmParams, arm_summary, pooled_eigenvalues, run_arm
 from .statistics import (
@@ -38,21 +38,6 @@ from .unfolding import mean_density
 
 DEFAULT_SWEEP = (0.0, 0.32, 1.0, 3.2, 10.0)
 DEFAULT_CURVATURE_BINS = "41:-5:5"
-
-_CONFIG_KEYS = (
-    "n",
-    "m",
-    "alpha",
-    "epsilon",
-    "realizations",
-    "t_samples",
-    "seed",
-    "window",
-    "bins",
-    "out",
-    "format",
-    "jobs",
-)
 
 
 @dataclass
@@ -75,34 +60,29 @@ class RunConfig:
     def __post_init__(self):
         if self.m is None:
             self.m = self.n // 2
-        if self.n < 2:
-            raise ValidationError(f"dimension must be >= 2, got {self.n}")
-        if not 1 <= self.m < self.n:
-            raise ValidationError(f"block size must satisfy 1 <= m < n, got {self.m}")
-        if not 0 < self.alpha < np.inf:
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
-        if self.t_samples < 1:
-            raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
-        if not 0.0 < self.window <= 1.0:
-            raise ValidationError(f"window must lie in (0, 1], got {self.window}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 0:
             raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
         if self.jobs == 0:
             self.jobs = os.cpu_count() or 1
-        # Every epsilon must map into a legal coupling for this dimension.
-        for eps in self.epsilon:
-            epsilon_lambda(self.n, eps, "to_lambda")
+        labels = [f"{eps:g}" for eps in self.epsilon]  # as in the per-arm file names
+        if len(set(labels)) < len(labels):
+            raise ValidationError(f"epsilon values name output files, so they must differ "
+                                  f"to 6 significant digits; got {', '.join(labels)}")
+        check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
+        for eps_index in range(len(self.epsilon)):
+            self.arm(eps_index)  # ArmParams checks every arm value
 
     def arm(self, eps_index: int) -> ArmParams:
+        """The validated arm of the eps_index-th epsilon."""
         return ArmParams(
             n=self.n,
             m=self.m,
             alpha=self.alpha,
-            lam=epsilon_lambda(self.n, self.epsilon[eps_index], "to_lambda"),
+            lam=lambda_from_epsilon(self.n, self.epsilon[eps_index]),
             seed=self.seed,
             eps_index=eps_index,
             t_samples=self.t_samples,
@@ -125,8 +105,11 @@ class RunConfig:
         if eps_index is not None:
             eps = self.epsilon[eps_index]
             out["epsilon"] = eps
-            out["lambda"] = epsilon_lambda(self.n, eps, "to_lambda")
+            out["lambda"] = lambda_from_epsilon(self.n, eps)
         return out
+
+
+_CONFIG_KEYS = tuple(field.name for field in fields(RunConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +269,6 @@ def cmd_density(config: RunConfig) -> int:
     hist = build_histogram(eigenvalues, edges)
     model_density = np.asarray(mean_density(model, hist.centers)) / config.n
     rows = [edges[:-1], edges[1:], hist.counts, hist.density, model_density]
-
-    expected = model_density * hist.widths * hist.total
-    keep = expected >= 1.0
-    chi2 = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
-    dof = max(int(np.sum(keep)) - 1, 1)
     outside = hist.underflow + hist.overflow
     summary = {
         "epsilon": config.epsilon[0],
@@ -299,7 +277,7 @@ def cmd_density(config: RunConfig) -> int:
         "eigenvalues": int(len(eigenvalues)),
         "outside_support": int(outside),
         "outside_fraction": outside / len(eigenvalues),
-        "chi_square_per_dof": chi2 / dof,
+        "chi_square_per_dof": reduced_chi_square(hist, model_density),
     }
     out = config.out or f"density.{config.format}"
     write_table(
@@ -431,7 +409,8 @@ def cmd_fit(args) -> int:
     print(f"gamma = {fit.gamma:.6g} +/- {fit.gamma_uncertainty:.2g}")
     print(f"objective = {fit.objective:.6g} (mean squared density residual, {fit.bins_used} bins)")
     if samples is not None:
-        print(f"reduced chi-square = {reduced_chi_square(hist, fit.gamma):.4g}")
+        chi2 = reduced_chi_square(hist, model_bin_density(hist.edges, fit.gamma))
+        print(f"reduced chi-square = {chi2:.4g}")
         print(f"KS vs fitted model = {ks_statistic(samples, fit.gamma):.4g}")
         print(f"KS vs universal    = {ks_statistic(samples, 1.0):.4g}")
     if args.out:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import RotatingPair, spectral_frame, spectral_frame_blocks
-from .ensemble import EnsembleSpec, child_rng, epsilon_lambda, sample_coupled
+from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
 from .errors import ValidationError
 from .statistics import ks_statistic, tail_exponent
 from .unfolding import (
@@ -52,17 +52,34 @@ SUMMARY_TAIL_WINDOW = (3.0, 30.0)
 
 @dataclass(frozen=True)
 class ArmParams:
-    """Resolved numeric parameters of one coupling arm."""
+    """One arm of the coupled two-block ensemble and how it is sampled; validated on construction.
+
+    n: matrix dimension, m: first-block dimension, lam: block coupling
+    in [0, 1], alpha: scale of the Gaussian weight, seed: base RNG seed,
+    eps_index: the arm's index in the child streams, t_samples: path
+    positions per realization, window_fraction: central share of levels
+    kept, edge_margin: see :func:`unfold_dynamics`.  The scaled coupling
+    eps = sqrt(n) * lam is derived on the fly, never stored.
+    """
 
     n: int
     m: int
-    alpha: float
     lam: float
-    seed: int
+    alpha: float = DEFAULT_ALPHA
+    seed: int = 0
     eps_index: int = 0
     t_samples: int = 4
     window_fraction: float = 0.5
     edge_margin: float = DEFAULT_EDGE_MARGIN
+
+    def __post_init__(self):
+        self.density_model()  # checks n >= 1, alpha and lam
+        if not 1 <= self.m < self.n:
+            raise ValidationError(f"block size must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
+        if self.t_samples < 1:
+            raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
+        if not 0.0 < self.window_fraction <= 1.0:
+            raise ValidationError(f"window must lie in (0, 1], got {self.window_fraction}")
 
     @property
     def per_block(self) -> bool:
@@ -85,9 +102,8 @@ def realization_rows(arm: ArmParams, realization: int):
     spectrum (block offset + in-block position for per-block frames).
     Frames evaluate velocities and curvatures of the central window only.
     """
-    spec = EnsembleSpec(n=arm.n, m=arm.m, lam=arm.lam, alpha=arm.alpha, seed=arm.seed)
     rng = child_rng(arm.seed, arm.eps_index, realization)
-    pair = RotatingPair(sample_coupled(spec, rng), sample_coupled(spec, rng))
+    pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
     model = arm.density_model()
     tol = DEGENERACY_SCALE * model.radius
@@ -121,9 +137,7 @@ def realization_rows(arm: ArmParams, realization: int):
 
 def realization_eigenvalues(arm: ArmParams, realization: int) -> np.ndarray:
     """Eigenvalues of a single ensemble draw (density studies)."""
-    spec = EnsembleSpec(n=arm.n, m=arm.m, lam=arm.lam, alpha=arm.alpha, seed=arm.seed)
-    rng = child_rng(arm.seed, arm.eps_index, realization)
-    return np.linalg.eigvalsh(sample_coupled(spec, rng))
+    return np.linalg.eigvalsh(sample_coupled(arm, child_rng(arm.seed, arm.eps_index, realization)))
 
 
 def _rows_task(args):
@@ -209,25 +223,3 @@ def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:
         summary["tail_exponent_stderr"] = None
     return summary
 
-
-def arm_from_epsilon(
-    n: int,
-    m: int,
-    alpha: float,
-    epsilon: float,
-    seed: int,
-    eps_index: int = 0,
-    t_samples: int = 4,
-    window_fraction: float = 0.5,
-) -> ArmParams:
-    """ArmParams with the coupling derived from the scaled parameter."""
-    return ArmParams(
-        n=n,
-        m=m,
-        alpha=alpha,
-        lam=epsilon_lambda(n, epsilon, "to_lambda"),
-        seed=seed,
-        eps_index=eps_index,
-        t_samples=t_samples,
-        window_fraction=window_fraction,
-    )

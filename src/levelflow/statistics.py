@@ -24,8 +24,12 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-#: Default search bracket for the gamma fit.
+#: Search bracket and relative tolerance of the gamma fit.
 FIT_BRACKET = (0.1, 10.0)
+FIT_REL_TOL = 1e-6
+
+#: Geometric bins of the tail-exponent regression.
+TAIL_BINS = 10
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -151,12 +155,12 @@ def model_bin_density(edges: np.ndarray, gamma: float) -> np.ndarray:
     return np.diff(cdf) / np.diff(edges)
 
 
-def _golden_minimize(objective, lo: float, hi: float, rel_tol: float = 1e-6):
+def _golden_minimize(objective, lo: float, hi: float):
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = objective(c), objective(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
+    while (b - a) > FIT_REL_TOL * max(abs(a), abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -169,15 +173,11 @@ def _golden_minimize(objective, lo: float, hi: float, rel_tol: float = 1e-6):
     return x, objective(x)
 
 
-def fit_gamma(
-    hist: Histogram,
-    bracket: tuple = FIT_BRACKET,
-    rel_tol: float = 1e-6,
-) -> DistributionFit:
+def fit_gamma(hist: Histogram) -> DistributionFit:
     """Least-squares fit of gamma against the binned density.
 
     Minimizes the mean squared residual between the histogram density
-    and the bin-averaged model over the bracket by golden-section
+    and the bin-averaged model over FIT_BRACKET by golden-section
     search.  The one-sigma uncertainty comes from the curvature of the
     objective at the minimum (quadratic approximation of the residual
     surface, residual variance estimated from the minimum itself).
@@ -193,10 +193,10 @@ def fit_gamma(
     def objective(g: float) -> float:
         return float(np.mean((density - model_bin_density(edges, g)) ** 2))
 
-    lo, hi = bracket
-    gamma, best = _golden_minimize(objective, lo, hi, rel_tol)
+    lo, hi = FIT_BRACKET
+    gamma, best = _golden_minimize(objective, lo, hi)
     span = hi - lo
-    if gamma - lo < 2 * rel_tol * span or hi - gamma < 2 * rel_tol * span:
+    if gamma - lo < 2 * FIT_REL_TOL * span or hi - gamma < 2 * FIT_REL_TOL * span:
         raise NumericalError(
             f"no interior minimum: fit ran into the bracket edge at gamma={gamma:.6g}"
         )
@@ -218,15 +218,16 @@ def fit_gamma(
     )
 
 
-def reduced_chi_square(hist: Histogram, gamma: float) -> float:
-    """Conventional goodness-of-fit companion to the least-squares objective.
+def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
+    """Per-bin Poisson chi-square of the counts against a model, divided by (bins - 1).
 
-    Per-bin Poisson chi-square against expected counts from the
-    bin-averaged model, divided by (bins - 1); bins with expected count
-    below 1 are skipped.
+    model_density holds the model's density per bin (for the gamma family
+    :func:`model_bin_density`); it is turned into expected counts with the
+    histogram's own normalization.  Bins expecting fewer than 1 count are
+    skipped; raises if none is left.
     """
     denominator = hist.total if hist.truncated else hist.total + hist.underflow + hist.overflow
-    expected = model_bin_density(hist.edges, gamma) * hist.widths * denominator
+    expected = model_density * hist.widths * denominator
     keep = expected >= 1.0
     if not np.any(keep):
         raise ValidationError("no bins with usable expected counts")
@@ -272,11 +273,11 @@ def loglog_slope(edges: np.ndarray, density: np.ndarray):
     return slope, float(np.sqrt(s2 / sxx))
 
 
-def tail_exponent(samples, k_min: float, k_max: float, n_bins: int = 10):
+def tail_exponent(samples, k_min: float, k_max: float):
     """Power-law exponent of the |sample| density over [k_min, k_max].
 
-    Log density regressed on log |k| over geometric bins; for data from
-    the universal law the expected exponent is -3.  Requires at least
+    Log density regressed on log |k| over TAIL_BINS geometric bins; for
+    data from the universal law the expected exponent is -3.  Requires at least
     100 samples inside the window and a window ratio of at least 5.
     Returns (exponent, standard_error).
     """
@@ -292,7 +293,7 @@ def tail_exponent(samples, k_min: float, k_max: float, n_bins: int = 10):
         raise ValidationError(
             f"only {len(inside)} samples inside [{k_min}, {k_max}]; need at least 100"
         )
-    edges = np.geomspace(k_min, k_max, n_bins + 1)
+    edges = np.geomspace(k_min, k_max, TAIL_BINS + 1)
     counts, _ = np.histogram(inside, bins=edges)
     density = counts / (len(inside) * np.diff(edges))
     return loglog_slope(edges, density)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SpectralFrame
-from .ensemble import DEFAULT_ALPHA
+from .ensemble import DEFAULT_ALPHA, check_scale
 from .errors import ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
@@ -43,12 +43,12 @@ class DensityModel:
     radius: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.n}")
-        if not self.alpha > 0:
-            raise ValidationError(f"gaussian scale must be positive, got {self.alpha}")
+        check_scale(self.n, self.alpha)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError(f"coupling must lie in [0, 1], got {self.lam}")
+            raise ValidationError(
+                f"coupling must lie in [0, 1], got lambda={self.lam:g} "
+                f"(epsilon={np.sqrt(self.n) * self.lam:g} at n={self.n})"
+            )
         object.__setattr__(
             self, "radius", float(np.sqrt(self.n * (1.0 + self.lam**2) / (2.0 * self.alpha)))
         )

@@ -229,6 +229,27 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "alpha must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, epsilon", [("simulate", [1, 1]), ("sweep", [1, 1.0000001]), ("sweep", [0, 2, 2.0])]
+)
+def test_epsilon_values_sharing_a_file_label_are_refused(tmp_path, capsys, command, epsilon):
+    # each arm's files are named after f"{eps:g}"; equal labels would overwrite each other
+    code = run([command, "--n", 24, "--epsilon", *epsilon, "--realizations", 1, "--t-samples", 1,
+                "--out", tmp_path / ("s.csv" if command == "simulate" else "sw"), "--jobs", 1])
+    assert code == 1
+    assert "6 significant digits" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_density_without_usable_bins_is_refused(tmp_path, capsys):
+    # 8 eigenvalues over 41 bins: no bin expects a whole count, so chi-square has no support
+    code = run(["density", "--n", 4, "--epsilon", 1, "--realizations", 2, "--bins", 41,
+                "--out", tmp_path / "d.csv", "--jobs", 1])
+    assert code == 1
+    assert "no bins with usable expected counts" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_bin_spec():
     edges = parse_bin_spec("41:-5:5")
     assert len(edges) == 42 and edges[0] == -5.0 and edges[-1] == 5.0

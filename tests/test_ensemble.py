@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from levelflow import (
-    EnsembleSpec,
+    ArmParams,
     ValidationError,
     child_rng,
-    epsilon_lambda,
+    lambda_from_epsilon,
     sample_coupled,
     sample_goe,
 )
@@ -20,11 +20,16 @@ from levelflow import (
         dict(n=10, m=5, lam=-0.1),
         dict(n=10, m=5, lam=1.5),
         dict(n=10, m=5, lam=0.5, alpha=0.0),
+        dict(n=10, m=5, lam=0.5, alpha=float("inf")),
+        dict(n=10, m=5, lam=0.5, alpha=float("nan")),
+        dict(n=10, m=5, lam=0.5, t_samples=0),
+        dict(n=10, m=5, lam=0.5, window_fraction=0.0),
+        dict(n=10, m=5, lam=0.5, window_fraction=1.5),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ValidationError):
-        EnsembleSpec(**kwargs)
+        ArmParams(**kwargs)
 
 
 def test_sample_goe_rejects_bad_parameters(rng):
@@ -66,14 +71,14 @@ def test_goe_entry_variances(rng):
 
 
 def test_coupled_lambda_one_is_plain_goe():
-    spec = EnsembleSpec(n=12, m=5, lam=1.0, alpha=0.5, seed=3)
+    spec = ArmParams(n=12, m=5, lam=1.0, alpha=0.5, seed=3)
     h_coupled = sample_coupled(spec, child_rng(3, 0))
     h_goe = sample_goe(12, 0.5, child_rng(3, 0))
     assert np.array_equal(h_coupled, h_goe)
 
 
 def test_coupled_lambda_zero_is_block_diagonal():
-    spec = EnsembleSpec(n=4, m=2, lam=0.0, seed=1)
+    spec = ArmParams(n=4, m=2, lam=0.0, seed=1)
     h = sample_coupled(spec, child_rng(1, 0))
     for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
         assert h[i, j] == 0.0
@@ -83,7 +88,7 @@ def test_coupled_lambda_zero_is_block_diagonal():
 
 def test_coupled_cross_variance_scales_with_lambda_squared(rng):
     n, m, lam, draws = 20, 10, 0.5, 10000
-    spec = EnsembleSpec(n=n, m=m, lam=lam)
+    spec = ArmParams(n=n, m=m, lam=lam)
     cross, inblock = [], []
     for _ in range(draws):
         h = sample_coupled(spec, rng)
@@ -94,29 +99,27 @@ def test_coupled_cross_variance_scales_with_lambda_squared(rng):
 
 
 def test_epsilon_lambda_conversions():
-    assert epsilon_lambda(100, 0.32, "to_lambda") == pytest.approx(0.032, rel=1e-15)
-    assert epsilon_lambda(100, 0.0, "to_lambda") == 0.0
-    assert epsilon_lambda(100, 0.032, "to_epsilon") == pytest.approx(0.32, rel=1e-15)
+    assert lambda_from_epsilon(100, 0.32) == pytest.approx(0.032, rel=1e-15)
+    assert lambda_from_epsilon(100, 0.0) == 0.0
+    assert ArmParams(n=100, m=50, lam=0.032).epsilon == pytest.approx(0.32, rel=1e-15)
     # round trip
-    lam = epsilon_lambda(37, 1.7, "to_lambda")
-    assert epsilon_lambda(37, lam, "to_epsilon") == pytest.approx(1.7, rel=1e-12)
+    lam = lambda_from_epsilon(37, 1.7)
+    assert ArmParams(n=37, m=18, lam=lam).epsilon == pytest.approx(1.7, rel=1e-12)
 
 
 def test_epsilon_lambda_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        epsilon_lambda(100, 11.0, "to_lambda")  # would give coupling 1.1
+        ArmParams(n=100, m=50, lam=lambda_from_epsilon(100, 11.0))  # would give coupling 1.1
     with pytest.raises(ValidationError):
-        epsilon_lambda(100, -0.5, "to_lambda")
+        ArmParams(n=100, m=50, lam=lambda_from_epsilon(100, -0.5))
     with pytest.raises(ValidationError):
-        epsilon_lambda(100, 1.5, "to_epsilon")
+        ArmParams(n=100, m=50, lam=1.5).epsilon
     with pytest.raises(ValidationError):
-        epsilon_lambda(0, 0.5, "to_lambda")
-    with pytest.raises(ValidationError):
-        epsilon_lambda(100, 0.5, "sideways")
+        ArmParams(n=0, m=0, lam=0.5).epsilon
 
 
 def test_seed_determinism():
-    spec = EnsembleSpec(n=8, m=4, lam=0.3, seed=11)
+    spec = ArmParams(n=8, m=4, lam=0.3, seed=11)
     a = sample_coupled(spec, child_rng(11, 0, 5))
     b = sample_coupled(spec, child_rng(11, 0, 5))
     c = sample_coupled(spec, child_rng(11, 0, 6))

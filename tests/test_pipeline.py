@@ -6,9 +6,7 @@ import pytest
 
 from levelflow import (
     RotatingPair,
-    EnsembleSpec,
     ValidationError,
-    arm_from_epsilon,
     arm_summary,
     child_rng,
     run_arm,
@@ -18,6 +16,7 @@ from levelflow import (
     spectral_frame_blocks,
     unfold_dynamics,
 )
+from levelflow.cli import RunConfig
 from levelflow.pipeline import (
     DEGENERACY_SCALE,
     ArmParams,
@@ -28,11 +27,11 @@ from levelflow.pipeline import (
 
 
 def test_arm_from_epsilon_maps_coupling():
-    arm = arm_from_epsilon(100, 50, 0.5, 0.32, seed=1)
+    arm = RunConfig(n=100, m=50, alpha=0.5, epsilon=(0.32,), seed=1).arm(0)
     assert arm.lam == pytest.approx(0.032, rel=1e-15)
     assert arm.epsilon == pytest.approx(0.32, rel=1e-12)
     with pytest.raises(ValidationError):
-        arm_from_epsilon(100, 50, 0.5, 11.0, seed=1)
+        RunConfig(n=100, m=50, alpha=0.5, epsilon=(11.0,), seed=1).arm(0)
 
 
 def test_per_block_engages_only_at_zero_coupling():
@@ -130,9 +129,8 @@ def test_window_choice_insensitivity():
 
 def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
     """(E, Edot, Eddot, xdot, xddot) of one realization, every frame evaluated on all rows."""
-    spec = EnsembleSpec(n=arm.n, m=arm.m, lam=arm.lam, alpha=arm.alpha, seed=arm.seed)
     rng = child_rng(arm.seed, arm.eps_index, realization)
-    pair = RotatingPair(sample_coupled(spec, rng), sample_coupled(spec, rng))
+    pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     model = arm.density_model()
     tol = DEGENERACY_SCALE * model.radius
     out = []

@@ -177,7 +177,7 @@ def test_fit_gamma_synthetic_unit():
     fit = fit_gamma(hist)
     assert abs(fit.gamma - 1.0) < 0.02
     # the conventional goodness-of-fit companion should sit near 1
-    assert 0.5 < reduced_chi_square(hist, fit.gamma) < 2.0
+    assert 0.5 < reduced_chi_square(hist, model_bin_density(hist.edges, fit.gamma)) < 2.0
 
 
 def test_fit_gamma_scale_equivariance():

@@ -48,6 +48,8 @@ def test_model_validation_and_radius():
         DensityModel(n=10, alpha=-1.0)
     with pytest.raises(ValidationError):
         DensityModel(n=10, lam=1.2)
+    with pytest.raises(ValidationError):
+        DensityModel(n=10, alpha=np.inf)
     model = DensityModel(n=100, alpha=0.5, lam=1.0)
     assert model.radius == pytest.approx(np.sqrt(200.0), rel=1e-15)
 
