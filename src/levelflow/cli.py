@@ -16,6 +16,8 @@ import argparse
 import itertools
 import os
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -335,11 +337,54 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
+@contextmanager
+def _open_text(path: str):
+    """`path` opened as UTF-8 text; a byte that does not decode is a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_fit_input(path: str, kind: str) -> np.ndarray:
-    """Raw curvature samples or (position, density) pairs from a text file."""
+    """Raw curvature samples or (position, density) pairs from a text file.
+
+    A file of plain numeric rows, after an optional leading block of blank
+    and `#` lines, is parsed in one C pass by ``np.loadtxt``.  It splits
+    lines and fields and parses numbers as the line loop does, so what it
+    accepts reads to the same float64 bits; anything it refuses (interior
+    comments, commas, non-ASCII digits, non-finite values, a wrong field
+    count, no data) is read again by :func:`_read_fit_input_by_line`, the
+    only place that names a line in a message.
+    """
+    width = 1 if kind == "samples" else 2
+    # loadtxt gets a handle, not the path, which it would open as .gz/.bz2/.xz or as a URL
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            while True:  # skip the leading blank and comment lines; loadtxt refuses a '#'
+                start = handle.tell()
+                line = handle.readline()
+                if not line or line.strip()[:1] not in ("", "#"):
+                    handle.seek(start)
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                data = np.loadtxt(handle, dtype=float, comments=None, ndmin=2)
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            data = None
+    if data is not None and data.shape[1] == width and np.isfinite(data).all():
+        return data[:, 0] if width == 1 else data
+    return _read_fit_input_by_line(path, kind)
+
+
+def _read_fit_input_by_line(path: str, kind: str) -> np.ndarray:
+    """The line-by-line reader: whole-line `#` comments and blank lines are
+    skipped, fields split at whitespace or commas, each parsed by ``float``;
+    a refused file raises a ValidationError naming its first bad line."""
     width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -355,7 +400,7 @@ def _read_fit_input(path: str, kind: str) -> np.ndarray:
     data = np.asarray(values, dtype=float)
     if not np.isfinite(data).all():  # the line is looked up only on this error path
         first = int(np.argmin(np.isfinite(data).reshape(len(data), -1).all(axis=1)))
-        with open(path, "r", encoding="utf-8") as handle:
+        with _open_text(path) as handle:
             data_lines = (n for n, raw in enumerate(handle, 1) if raw.strip()[:1] not in ("", "#"))
             lineno = next(itertools.islice(data_lines, first, None))
         raise ValidationError(f"{path}: line {lineno}: non-finite value")
@@ -488,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -504,40 +549,30 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_from_args(args) -> RunConfig:
+    """Each RunConfig field from its flag, else the --config file, else the
+    command's own default (sweep's epsilon list, density's bins), else
+    the field's default."""
     file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(name, cast, default):
-        cli = getattr(args, name)
-        if cli is not None:
-            return cli
-        if name in file_values:
+    given = {}
+    for field in fields(RunConfig):
+        value = getattr(args, field.name)
+        if value is None and field.name in file_values:
+            text = file_values[field.name]
             try:
-                return cast(file_values[name])
+                if field.name == "epsilon":
+                    value = tuple(float(tok) for tok in text.replace(",", " ").split())
+                else:  # the type of the default; m's default None stands for an int
+                    value = (int if field.default is None else type(field.default))(text)
             except ValueError as exc:
-                raise ValidationError(f"config key {name!r}: {exc}") from exc
-        return default
-
-    def cast_epsilon(text: str):
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-    epsilon = pick("epsilon", cast_epsilon, None)
-    if epsilon is None:
-        epsilon = DEFAULT_SWEEP if args.command == "sweep" else ()
-    default_bins = "41" if args.command == "density" else DEFAULT_CURVATURE_BINS
-    return RunConfig(
-        n=pick("n", int, 100),
-        m=pick("m", int, None),
-        alpha=pick("alpha", float, DEFAULT_ALPHA),
-        epsilon=tuple(epsilon),
-        realizations=pick("realizations", int, 100),
-        t_samples=pick("t_samples", int, 4),
-        seed=pick("seed", int, 0),
-        window=pick("window", float, 0.5),
-        bins=pick("bins", str, default_bins),
-        out=pick("out", str, ""),
-        format=pick("format", str, "csv"),
-        jobs=pick("jobs", int, 0),
-    )
+                raise ValidationError(f"config key {field.name!r}: {exc}") from exc
+        if value is not None:
+            given[field.name] = value
+    if args.command == "sweep":
+        given.setdefault("epsilon", DEFAULT_SWEEP)
+    if args.command == "density":
+        given.setdefault("bins", "41")
+    given["epsilon"] = tuple(given.get("epsilon", ()))
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -101,6 +101,25 @@ def test_config_file_with_cli_override(tmp_path):
     assert read_table(out_b)[0]["seed"] == "20"
 
 
+def test_run_config_defaults_and_file_casts(tmp_path):
+    parser = cli.build_parser()
+    for command, epsilon, bins in (("simulate", (), cli.DEFAULT_CURVATURE_BINS),
+                                   ("sweep", cli.DEFAULT_SWEEP, cli.DEFAULT_CURVATURE_BINS),
+                                   ("density", (), "41")):
+        got = cli._config_from_args(parser.parse_args([command]))
+        assert got == cli.RunConfig(epsilon=epsilon, bins=bins)
+    conf = tmp_path / "conf.txt"
+    conf.write_text("n = 24\nm = 10\nalpha = 0.25\nepsilon = 0, 1.5\nwindow = 0.4\n"
+                    "bins = 11:-3:3\nout = x.json\nformat = json\njobs = 1\n")
+    got = cli._config_from_args(parser.parse_args(["sweep", "--config", str(conf), "--m", "8"]))
+    assert got == cli.RunConfig(n=24, m=8, alpha=0.25, epsilon=(0.0, 1.5), window=0.4,
+                                bins="11:-3:3", out="x.json", format="json", jobs=1)
+    assert [type(getattr(got, name)) for name in ("n", "alpha", "window")] == [int, float, float]
+    conf.write_text("alpha = half\n")
+    with pytest.raises(ValidationError, match="config key 'alpha'"):
+        cli._config_from_args(parser.parse_args(["simulate", "--config", str(conf)]))
+
+
 def test_config_file_unknown_key(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("banana = 7\n")
@@ -302,3 +321,126 @@ def test_chunked_writer_matches_per_value_format(tmp_path, monkeypatch, fmt, n_r
         write_table(path, fmt, "simulate", config, names, columns, summary=summary)
         expected = _per_value_table(fmt, "simulate", config, names, columns, summary)
         assert path.read_text() == expected
+
+
+def _fit_input_corpus():
+    """(name, bytes) files covering what the fast reader accepts and what it must hand on."""
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, size=200, dtype=np.uint64)
+    values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64),
+                             -subnormal[:50].view(np.float64)])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    values = np.concatenate([special, values[np.isfinite(values)]]).tolist()
+    plain = [repr(x) for x in values[:12]]
+    files = {
+        "repr": "\n".join(map(repr, values)) + "\n",
+        "g17": "\n".join(format(x, ".17g") for x in values) + "\n",
+        "e40": "\n".join(format(x, ".40e") for x in values) + "\n",
+        "pairs": "".join(f"{a!r} {b:.17g}\n" for a, b in zip(values[::2], values[1::2])),
+        "crlf": "\r\n".join(plain) + "\r\n",
+        "bare_cr": "\r".join(plain) + "\r",
+        "no_final_newline": "\n".join(plain),
+        "tabs": "".join(f"\t{a}\t{b}\t\n" for a, b in zip(plain[::2], plain[1::2])),
+        "vt_ff_nbsp": "".join(f"\x0b{a}\x0c{b}\xa0\n" for a, b in zip(plain[::2], plain[1::2])),
+        "vt_ff_nbsp_single": "".join(f"\x0b {a}\x0c\xa0\n" for a in plain),
+        "blank_lines": "\n\n" + "\n \t\n\x0c\n".join(plain) + "\n\n  \n",
+        "leading_header": "# levelflow samples\n\n  # gamma = 0.8\n" + "\n".join(plain) + "\n",
+        "interior_comment": "\n".join(plain[:5] + ["# middle"] + plain[5:]) + "\n",
+        "inline_comment": "\n".join(plain[:5] + ["1.0 # x"] + plain[5:]) + "\n",
+        "comma_pairs": "".join(f"{a},{b}\n{a}, {b}\n" for a, b in zip(plain[::2], plain[1::2])),
+        "trailing_comma": "\n".join(x + "," for x in plain) + "\n",
+        "underscore": "\n".join(plain[:3] + ["1_000"] + plain[3:]) + "\n",
+        "arabic_digits": "\n".join(plain[:3] + ["\u0661\u0662"] + plain[3:]) + "\n",
+        "bom": "\ufeff" + "\n".join(plain) + "\n",
+        "nul": "\n".join(plain[:3] + ["1\x00"] + plain[3:]) + "\n",
+        "overflow": "\n".join(plain[:7] + ["1e400"] + plain[7:]) + "\n",
+        "nan": "\n".join(plain[:2] + ["nan"] + plain[2:]) + "\n",
+        "minus_inf_pair": "\n".join(plain[:4] + ["0.5 -inf"] + plain[4:]) + "\n",
+        "two_fields": "\n".join(plain[:6] + ["1 2"] + plain[6:]) + "\n",
+        "one_field_in_pairs": "".join(f"{a} {b}\n" for a, b in zip(plain[::2], plain[1::2])) + "3\n",
+        "empty": "",
+        "comments_only": "# one\n#two\n   # three\n",
+        "blanks_only": "\n \n\t\n",
+    }
+    corpus = {name: text.encode("utf-8") for name, text in files.items()}
+    corpus["not_utf8"] = b"1.5\n2.5\n\xff\n3.5\n"
+    return corpus
+
+
+def test_fast_fit_reader_matches_line_reader(tmp_path, monkeypatch):
+    by_line = cli._read_fit_input_by_line
+    fell_back = []
+    monkeypatch.setattr(cli, "_read_fit_input_by_line",
+                        lambda path, kind: fell_back.append(path) or by_line(path, kind))
+
+    def outcome(reader, path, kind):
+        try:
+            return reader(path, kind)
+        except ValidationError as exc:
+            return str(exc)
+
+    fast = set()
+    for name, payload in _fit_input_corpus().items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(payload)
+        for kind in ("samples", "binned"):
+            fell_back.clear()
+            got = outcome(cli._read_fit_input, str(path), kind)
+            if not fell_back:
+                fast.add((name, kind))
+            want = outcome(by_line, str(path), kind)
+            if isinstance(want, str):
+                assert got == want, (name, kind)
+            else:
+                assert isinstance(got, np.ndarray), (name, kind, got)
+                assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, kind)
+    plain = {"repr", "g17", "e40", "crlf", "bare_cr", "no_final_newline", "vt_ff_nbsp_single",
+             "blank_lines", "leading_header"}
+    assert {(name, "samples") for name in plain} | {
+        (name, "binned") for name in ("pairs", "tabs", "vt_ff_nbsp")} <= fast
+    assert ("comma_pairs", "binned") not in fast and ("interior_comment", "samples") not in fast
+
+
+def test_non_utf8_fit_input_is_refused(tmp_path, capsys):
+    data = tmp_path / "latin1.txt"
+    data.write_bytes(b"0.5\n1.5\n\xff\n" + b"2.5\n" * 20)
+    assert run(["fit", "--input", data]) == 1
+    err = capsys.readouterr().err
+    assert f"{data}: not UTF-8 text" in err
+
+
+def test_non_utf8_config_file_is_refused(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_bytes(b"n = 24\n# caf\xe9\nepsilon = 1\n")
+    assert run(["simulate", "--config", conf, "--out", tmp_path / "s.csv", "--jobs", 1]) == 1
+    err = capsys.readouterr().err
+    assert f"{conf}: not UTF-8 text" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("samples", "", "only 0 samples"),
+    ("samples", "# header\n\n  # more\n", "only 0 samples"),
+    ("binned", "\n \t\n", "binned input needs at least two"),
+])
+def test_fit_input_without_data_warns_nothing(tmp_path, capsys, recwarn, kind, text, message):
+    data = tmp_path / "empty.txt"
+    data.write_text(text)
+    assert run(["fit", "--input", data, "--input-kind", kind]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("bad, message", [("oops", "cannot parse 'oops'"), ("nan", "non-finite")])
+def test_fit_late_bad_value_names_its_line(tmp_path, capsys, bad, message):
+    lines = [format(0.001 * i, ".17g") for i in range(1, 4000)]
+    lines[2999] = bad  # line 3000, after the fast reader has parsed 2,999 rows
+    data = tmp_path / "late.txt"
+    data.write_text("\n".join(lines) + "\n")
+    assert run(["fit", "--input", data]) == 1
+    err = capsys.readouterr().err
+    assert "line 3000" in err and message in err
