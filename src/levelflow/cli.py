@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 import warnings
@@ -350,59 +349,58 @@ def _open_text(path: str):
 def _read_fit_input(path: str, kind: str) -> np.ndarray:
     """Raw curvature samples or (position, density) pairs from a text file.
 
-    A file of plain numeric rows, after an optional leading block of blank
-    and `#` lines, is parsed in one C pass by ``np.loadtxt``.  It splits
-    lines and fields and parses numbers as the line loop does, so what it
-    accepts reads to the same float64 bits; anything it refuses (interior
-    comments, commas, non-ASCII digits, non-finite values, a wrong field
-    count, no data) is read again by :func:`_read_fit_input_by_line`, the
-    only place that names a line in a message.
+    A regular file of plain numeric rows is parsed in one C pass by
+    ``np.loadtxt``.  It splits lines and fields and parses numbers as the
+    line loop does, so what it accepts reads to the same float64 bits;
+    anything it refuses (comments, commas, non-ASCII digits, non-finite
+    values, a wrong field count, no data) is read again from the start by
+    :func:`_read_fit_input_by_line`, the only place that names a line in a
+    message.  A pipe cannot be read twice, so it goes to the loop at once.
     """
     width = 1 if kind == "samples" else 2
     # loadtxt gets a handle, not the path, which it would open as .gz/.bz2/.xz or as a URL
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            while True:  # skip the leading blank and comment lines; loadtxt refuses a '#'
-                start = handle.tell()
-                line = handle.readline()
-                if not line or line.strip()[:1] not in ("", "#"):
-                    handle.seek(start)
-                    break
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. "input contained no data"
-                data = np.loadtxt(handle, dtype=float, comments=None, ndmin=2)
-        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-            data = None
-    if data is not None and data.shape[1] == width and np.isfinite(data).all():
-        return data[:, 0] if width == 1 else data
-    return _read_fit_input_by_line(path, kind)
+    with _open_text(path) as handle:
+        if handle.seekable():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. "input contained no data"
+                    data = np.loadtxt(handle, dtype=float, comments=None, ndmin=2)
+            except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+                data = None
+            if data is not None and data.shape[1] == width and np.isfinite(data).all():
+                return data[:, 0] if width == 1 else data
+            handle.seek(0)
+        return _read_fit_input_by_line(handle, kind)
 
 
-def _read_fit_input_by_line(path: str, kind: str) -> np.ndarray:
-    """The line-by-line reader: whole-line `#` comments and blank lines are
-    skipped, fields split at whitespace or commas, each parsed by ``float``;
-    a refused file raises a ValidationError naming its first bad line."""
+def _read_fit_input_by_line(handle, kind: str) -> np.ndarray:
+    """The line-by-line reader of an open fit input: whole-line `#` comments
+    and blank lines are skipped, fields split at whitespace or commas, each
+    parsed by ``float``; a refused file raises a ValidationError naming its
+    first bad line."""
+    path = handle.name
     width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
     values = []
-    with _open_text(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                numbers = [float(f) for f in line.replace(",", " ").split()]
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: cannot parse {line!r}") from exc
-            if len(numbers) != width:
-                raise ValidationError(f"{path}: line {lineno}: expected {expected}, "
-                                      f"got {len(numbers)} fields")
-            values.append(numbers[0] if width == 1 else numbers)
+    skipped = []  # blank and comment line numbers, to find a data row's line without a reread
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            skipped.append(lineno)
+            continue
+        try:
+            numbers = [float(f) for f in line.replace(",", " ").split()]
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: cannot parse {line!r}") from exc
+        if len(numbers) != width:
+            raise ValidationError(f"{path}: line {lineno}: expected {expected}, "
+                                  f"got {len(numbers)} fields")
+        values.append(numbers[0] if width == 1 else numbers)
     data = np.asarray(values, dtype=float)
     if not np.isfinite(data).all():  # the line is looked up only on this error path
-        first = int(np.argmin(np.isfinite(data).reshape(len(data), -1).all(axis=1)))
-        with _open_text(path) as handle:
-            data_lines = (n for n, raw in enumerate(handle, 1) if raw.strip()[:1] not in ("", "#"))
-            lineno = next(itertools.islice(data_lines, first, None))
+        lineno = int(np.argmin(np.isfinite(data).reshape(len(data), -1).all(axis=1))) + 1
+        for skip in skipped:  # ascending; each one at or before the line moves it down one
+            if skip <= lineno:
+                lineno += 1
         raise ValidationError(f"{path}: line {lineno}: non-finite value")
     return data
 

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -373,7 +379,11 @@ def test_fast_fit_reader_matches_line_reader(tmp_path, monkeypatch):
     by_line = cli._read_fit_input_by_line
     fell_back = []
     monkeypatch.setattr(cli, "_read_fit_input_by_line",
-                        lambda path, kind: fell_back.append(path) or by_line(path, kind))
+                        lambda handle, kind: fell_back.append(handle.name) or by_line(handle, kind))
+
+    def read_by_line(path, kind):
+        with cli._open_text(path) as handle:
+            return by_line(handle, kind)
 
     def outcome(reader, path, kind):
         try:
@@ -390,7 +400,7 @@ def test_fast_fit_reader_matches_line_reader(tmp_path, monkeypatch):
             got = outcome(cli._read_fit_input, str(path), kind)
             if not fell_back:
                 fast.add((name, kind))
-            want = outcome(by_line, str(path), kind)
+            want = outcome(read_by_line, str(path), kind)
             if isinstance(want, str):
                 assert got == want, (name, kind)
             else:
@@ -398,7 +408,7 @@ def test_fast_fit_reader_matches_line_reader(tmp_path, monkeypatch):
                 assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, kind)
     plain = {"repr", "g17", "e40", "crlf", "bare_cr", "no_final_newline", "vt_ff_nbsp_single",
-             "blank_lines", "leading_header"}
+             "blank_lines"}
     assert {(name, "samples") for name in plain} | {
         (name, "binned") for name in ("pairs", "tabs", "vt_ff_nbsp")} <= fast
     assert ("comma_pairs", "binned") not in fast and ("interior_comment", "samples") not in fast
@@ -444,3 +454,87 @@ def test_fit_late_bad_value_names_its_line(tmp_path, capsys, bad, message):
     assert run(["fit", "--input", data]) == 1
     err = capsys.readouterr().err
     assert "line 3000" in err and message in err
+
+
+
+
+@pytest.mark.parametrize("kind, text, lineno", [
+    ("samples", "# h\n\n1\n  \n# c\n2\ninf\n3\n", 7),
+    ("samples", "\n\n\nnan\n", 4),
+    ("samples", "1\n2\n3\n\n\n# end\n1e400\n# after\n", 7),
+    ("binned", "# h\n1 2\n\n3 nan\n# x\n-inf 1\n", 4),
+])
+def test_fit_non_finite_line_counts_skipped_lines(tmp_path, kind, text, lineno):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"line {lineno}: non-finite value"):
+        cli._read_fit_input(str(path), kind)
+
+@pytest.mark.parametrize("name", ["repr", "pairs", "comma_pairs", "interior_comment", "nan",
+                                  "minus_inf_pair", "empty", "not_utf8"])
+def test_fit_input_is_opened_once(tmp_path, monkeypatch, name):
+    """A pipe can be read only once, so no reader may open the path a second time."""
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(_fit_input_corpus()[name])
+    for kind in ("samples", "binned"):
+        opened.clear()
+        try:
+            cli._read_fit_input(str(path), kind)
+        except ValidationError:
+            pass
+        assert opened == [str(path)], kind
+
+def _fit_through_fifo(tmp_path, text):
+    """`fit --input <named pipe>` in a child process while a thread writes `text` into the pipe."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "w") as handle:
+                handle.write(text)
+        except BrokenPipeError:
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a reader that closed and reopened the pipe would wait for a writer that has gone
+    return subprocess.run([sys.executable, "-m", "levelflow", "fit", "--input", str(fifo),
+                           "--out", str(tmp_path / "fifo.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fit_reads_a_named_pipe_once(tmp_path, capsys):
+    values = sample_gamma_dist(0.9, 30000, child_rng(8, 0)).tolist()  # ~600 kB, many pipe buffers
+    text = "".join(f"{x!r}\n" for x in values)
+    proc = _fit_through_fifo(tmp_path, text)
+    assert proc.returncode == 0, proc.stderr
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text)
+    assert run(["fit", "--input", plain, "--out", tmp_path / "plain.csv"]) == 0
+
+    def kept(lines, drop):
+        return [line for line in lines if not line.startswith(drop)]
+
+    assert kept(proc.stdout.splitlines(), "wrote ") == kept(capsys.readouterr().out.splitlines(), "wrote ")
+    assert (kept((tmp_path / "fifo.csv").read_text().splitlines(), "# input = ")
+            == kept((tmp_path / "plain.csv").read_text().splitlines(), "# input = "))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("bad, message", [("oops", "cannot parse 'oops'"), ("nan", "non-finite")])
+def test_fit_named_pipe_bad_value_names_its_line(tmp_path, bad, message):
+    lines = [format(0.001 * i, ".17g") for i in range(1, 4000)]
+    lines[2999] = bad
+    proc = _fit_through_fifo(tmp_path, "\n".join(lines) + "\n")
+    assert proc.returncode == 1
+    assert "line 3000" in proc.stderr and message in proc.stderr
