@@ -108,7 +108,6 @@ def integrate_motion(
         p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     tol = max(1e-8 * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
     return SpectralFrame(
-        t=float(t1),
         energies=energies,
         velocities=np.diag(p).copy(),
         curvatures=curvature_sums(energies, p),

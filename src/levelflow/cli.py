@@ -17,12 +17,13 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .ensemble import DEFAULT_ALPHA, check_scale, lambda_from_epsilon
+from .ensemble import check_scale, lambda_from_epsilon
 from .errors import LevelflowError, ValidationError
 from .pipeline import ArmParams, arm_summary, pooled_eigenvalues, run_arm
 from .statistics import (
@@ -39,31 +40,45 @@ from .unfolding import mean_density
 
 DEFAULT_SWEEP = (0.0, 0.32, 1.0, 3.2, 10.0)
 DEFAULT_CURVATURE_BINS = "41:-5:5"
+FORMATS = ("csv", "json")
+
+#: How a run is executed, not what it computes: kept out of file headers.
+EXECUTION_FIELDS = ("out", "format", "jobs")
+
+
+def _flag(default, phrase: str, choices=None):
+    """A RunConfig field: its flag's --help phrase (the default is added to it) and choices."""
+    return field(default=default, metadata={"help": phrase, "choices": choices})
 
 
 @dataclass
 class RunConfig:
-    """Resolved simulation configuration shared by the run commands."""
+    """Resolved simulation configuration shared by the run commands.
 
-    n: int = 100
-    m: int | None = None
-    alpha: float = DEFAULT_ALPHA
-    epsilon: tuple = ()
-    realizations: int = 100
-    t_samples: int = 4
-    seed: int = 0
-    window: float = 0.5
-    bins: str = DEFAULT_CURVATURE_BINS
-    out: str = ""
-    format: str = "csv"
-    jobs: int = 0
+    The one table of run parameters: each field is a flag and a --config
+    key, every field but EXECUTION_FIELDS goes into the file headers, and
+    the fields ArmParams also has go into each arm, with ArmParams' defaults.
+    """
+
+    n: int = _flag(100, "matrix dimension")
+    m: int | None = _flag(None, "first-block dimension (default n//2, resolved at run time)")
+    alpha: float = _flag(ArmParams.alpha, "gaussian scale")
+    epsilon: tuple[float, ...] = _flag((), "scaled coupling values sqrt(n)*lambda")
+    realizations: int = _flag(100, "matrix pairs per epsilon")
+    t_samples: int = _flag(ArmParams.t_samples, "path positions per pair")
+    seed: int = _flag(ArmParams.seed, "base RNG seed")
+    window: float = _flag(ArmParams.window, "central level fraction kept")
+    bins: str = _flag(DEFAULT_CURVATURE_BINS, "bin spec COUNT or COUNT:LO:HI")
+    out: str = _flag("", "output path, a directory for sweep (default named after the command)")
+    format: str = _flag(FORMATS[0], "output format", choices=FORMATS)
+    jobs: int = _flag(0, "worker processes; 0 means all cores, counted at run time")
 
     def __post_init__(self):
         if self.m is None:
             self.m = self.n // 2
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 0:
             raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
@@ -79,29 +94,15 @@ class RunConfig:
 
     def arm(self, eps_index: int) -> ArmParams:
         """The validated arm of the eps_index-th epsilon."""
-        return ArmParams(
-            n=self.n,
-            m=self.m,
-            alpha=self.alpha,
-            lam=lambda_from_epsilon(self.n, self.epsilon[eps_index]),
-            seed=self.seed,
-            eps_index=eps_index,
-            t_samples=self.t_samples,
-            window_fraction=self.window,
-        )
+        lam = lambda_from_epsilon(self.n, self.epsilon[eps_index])
+        return ArmParams(lam=lam, eps_index=eps_index, **{k: getattr(self, k) for k in _ARM_FIELDS})
 
     def header_dict(self, eps_index: int | None = None) -> dict:
-        """Science configuration for file headers (execution knobs excluded)."""
+        """Science configuration for file headers: the fields but EXECUTION_FIELDS, in order."""
         out = {
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "epsilon_list": list(self.epsilon),
-            "realizations": self.realizations,
-            "t_samples": self.t_samples,
-            "seed": self.seed,
-            "window": self.window,
-            "bins": self.bins,
+            ("epsilon_list" if f.name == "epsilon" else f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in EXECUTION_FIELDS
         }
         if eps_index is not None:
             eps = self.epsilon[eps_index]
@@ -110,7 +111,8 @@ class RunConfig:
         return out
 
 
-_CONFIG_KEYS = tuple(field.name for field in fields(RunConfig))
+#: The RunConfig fields that each arm copies into its ArmParams.
+_ARM_FIELDS = [f.name for f in fields(RunConfig) if f.name in {a.name for a in fields(ArmParams)}]
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +168,16 @@ def write_table(path, fmt: str, command: str, config: dict, columns, data, summa
     with open(path, "w", encoding="utf-8") as handle:
         if fmt == "csv":
             handle.write("\n".join(_header_lines(command, config) + [",".join(columns)]) + "\n")
-            row, sep, lead, end = ",".join(["%.17g"] * len(data)), "\n", "", "\n"
+            row, sep = ",".join(["%.17g"] * len(data)) + "\n", ""
         else:
             head = dumps_json({"command": command, "config": config, "columns": list(columns)})
             handle.write(head[:-1] + ', "rows": [')  # the object stays open for the rows
-            row, sep, lead, end = "[" + ", ".join(["%.17g"] * len(data)) + "]", ", ", ", ", ""
+            row, sep = "[" + ", ".join(["%.17g"] * len(data)) + "]", ", "
         for lo in range(0, len(data[0]), WRITE_CHUNK_ROWS):
             chunk = np.column_stack([column[lo : lo + WRITE_CHUNK_ROWS] for column in data])
-            text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-            handle.write((lead if lo else "") + text + end)
+            if lo:
+                handle.write(sep)  # between chunks, as between the rows of one
+            handle.write(sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
         if fmt != "csv":
             tail = "" if summary is None else f', "summary": {dumps_json(summary)}'
             handle.write("]" + tail + "}\n")
@@ -487,22 +490,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_run_flags(parser):
+#: Defaults of one command that differ from the RunConfig field defaults.
+_COMMAND_DEFAULTS = {"sweep": {"epsilon": DEFAULT_SWEEP}, "density": {"bins": "41"}}
+
+
+def _field_cast(hint):
+    """(cast, nargs) of a field annotated `hint`: tuple[X, ...] takes X+, `X | None` one X."""
+    if get_origin(hint) is tuple:
+        return get_args(hint)[0], "+"
+    return (get_args(hint) or (hint,))[0], None
+
+
+#: (cast, nargs) of each RunConfig field, shared by its flag and its --config key.
+_FIELD_CASTS = {name: _field_cast(hint) for name, hint in get_type_hints(RunConfig).items()}
+
+
+def _add_run_flags(parser, command: str):
     parser.add_argument("--config", help="key = value file; command-line flags override it")
-    parser.add_argument("--n", type=int, help="matrix dimension (default 100)")
-    parser.add_argument("--m", type=int, help="first-block dimension (default n//2)")
-    parser.add_argument("--alpha", type=float, help="gaussian scale (default 0.5)")
-    parser.add_argument(
-        "--epsilon", type=float, nargs="+", help="scaled coupling values sqrt(n)*lambda"
-    )
-    parser.add_argument("--realizations", type=int, help="matrix pairs per epsilon (default 100)")
-    parser.add_argument("--t-samples", type=int, help="path positions per pair (default 4)")
-    parser.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    parser.add_argument("--window", type=float, help="central level fraction kept (default 0.5)")
-    parser.add_argument("--bins", help="bin spec COUNT or COUNT:LO:HI")
-    parser.add_argument("--out", help="output path (directory for sweep)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    parser.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    for f in fields(RunConfig):
+        cast, nargs = _FIELD_CASTS[f.name]
+        default = _COMMAND_DEFAULTS.get(command, {}).get(f.name, f.default)
+        if isinstance(default, tuple):
+            default = " ".join(f"{value:g}" for value in default)
+        shown = "" if default in (None, "") else f" (default {default})"
+        choices = f.metadata["choices"]
+        parser.add_argument("--" + f.name.replace("_", "-"), type=cast, nargs=nargs,
+                            choices=choices, metavar=None if choices else cast.__name__.upper(),
+                            help=f.metadata["help"] + shown)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("density", "pooled eigenvalue histogram vs the semicircle law"),
         ("sweep", "normalized-curvature histograms across an epsilon list"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        _add_run_flags(p)
+        _add_run_flags(sub.add_parser(name, help=helptext), name)
     fit = sub.add_parser("fit", help="fit the one-parameter curvature law to a data file")
     fit.add_argument("--input", required=True, help="data file to fit")
     fit.add_argument(
@@ -525,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--bins", default=DEFAULT_CURVATURE_BINS, help="bin spec for samples input")
     fit.add_argument("--out", help="optional fitted-curve table")
-    fit.add_argument("--format", choices=("csv", "json"), default="csv")
+    fit.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     return parser
 
 
@@ -540,35 +553,28 @@ def _read_config_file(path: str) -> dict:
                 raise ValidationError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in _FIELD_CASTS:
                 raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
 def _config_from_args(args) -> RunConfig:
-    """Each RunConfig field from its flag, else the --config file, else the
-    command's own default (sweep's epsilon list, density's bins), else
+    """Each RunConfig field from its flag, else the --config file (cast as
+    the flag is), else the command's own default (_COMMAND_DEFAULTS), else
     the field's default."""
     file_values = _read_config_file(args.config) if args.config else {}
-    given = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name)
-        if value is None and field.name in file_values:
-            text = file_values[field.name]
+    given = dict(_COMMAND_DEFAULTS.get(args.command, {}))
+    for name, (cast, nargs) in _FIELD_CASTS.items():
+        value = getattr(args, name)
+        if value is None and name in file_values:
+            text = file_values[name]
             try:
-                if field.name == "epsilon":
-                    value = tuple(float(tok) for tok in text.replace(",", " ").split())
-                else:  # the type of the default; m's default None stands for an int
-                    value = (int if field.default is None else type(field.default))(text)
+                value = [cast(t) for t in text.replace(",", " ").split()] if nargs else cast(text)
             except ValueError as exc:
-                raise ValidationError(f"config key {field.name!r}: {exc}") from exc
+                raise ValidationError(f"config key {name!r}: {exc}") from exc
         if value is not None:
-            given[field.name] = value
-    if args.command == "sweep":
-        given.setdefault("epsilon", DEFAULT_SWEEP)
-    if args.command == "density":
-        given.setdefault("bins", "41")
+            given[name] = value
     given["epsilon"] = tuple(given.get("epsilon", ()))
     return RunConfig(**given)
 

@@ -60,7 +60,6 @@ class SpectralFrame:
     selected rows hold nan for other levels (per-block: no p_matrix).
     """
 
-    t: float
     energies: np.ndarray
     velocities: np.ndarray
     curvatures: np.ndarray
@@ -146,7 +145,6 @@ def spectral_frame(
     velocities[picked] = p[picked, picked]
     curvatures[picked] = curvature_sums(energies, p[picked], picked)
     return SpectralFrame(
-        t=float(t),
         energies=energies,
         velocities=velocities,
         curvatures=curvatures,
@@ -188,7 +186,6 @@ def spectral_frame_blocks(
         for fr, lo, hi in zip(frames, offsets[:-1], offsets[1:]):
             p[lo:hi, lo:hi] = fr.p_matrix
     return SpectralFrame(
-        t=float(t),
         energies=np.concatenate([fr.energies for fr in frames]),
         velocities=np.concatenate([fr.velocities for fr in frames]),
         curvatures=np.concatenate([fr.curvatures for fr in frames]),

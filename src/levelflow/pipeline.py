@@ -30,7 +30,7 @@ from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
 from .errors import ValidationError
 from .statistics import ks_statistic, tail_exponent
 from .unfolding import (
-    DEFAULT_EDGE_MARGIN,
+    EDGE_MARGIN,
     CurvatureBatch,
     DensityModel,
     normalize_batch,
@@ -57,9 +57,9 @@ class ArmParams:
     n: matrix dimension, m: first-block dimension, lam: block coupling
     in [0, 1], alpha: scale of the Gaussian weight, seed: base RNG seed,
     eps_index: the arm's index in the child streams, t_samples: path
-    positions per realization, window_fraction: central share of levels
-    kept, edge_margin: see :func:`unfold_dynamics`.  The scaled coupling
-    eps = sqrt(n) * lam is derived on the fly, never stored.
+    positions per realization, window: central share of levels kept.
+    The scaled coupling eps = sqrt(n) * lam is derived on the fly, never
+    stored.
     """
 
     n: int
@@ -69,8 +69,7 @@ class ArmParams:
     seed: int = 0
     eps_index: int = 0
     t_samples: int = 4
-    window_fraction: float = 0.5
-    edge_margin: float = DEFAULT_EDGE_MARGIN
+    window: float = 0.5
 
     def __post_init__(self):
         self.density_model()  # checks n >= 1, alpha and lam
@@ -78,8 +77,8 @@ class ArmParams:
             raise ValidationError(f"block size must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
         if self.t_samples < 1:
             raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
-        if not 0.0 < self.window_fraction <= 1.0:
-            raise ValidationError(f"window must lie in (0, 1], got {self.window_fraction}")
+        if not 0.0 < self.window <= 1.0:
+            raise ValidationError(f"window must lie in (0, 1], got {self.window}")
 
     @property
     def per_block(self) -> bool:
@@ -108,8 +107,8 @@ def realization_rows(arm: ArmParams, realization: int):
     model = arm.density_model()
     tol = DEGENERACY_SCALE * model.radius
     blocks = (arm.m, arm.n - arm.m) if arm.per_block else (arm.n,)
-    window = window_levels(blocks, arm.window_fraction)
-    edge_limit = model.radius * (1.0 - arm.edge_margin)
+    window = window_levels(blocks, arm.window)
+    edge_limit = model.radius * (1.0 - EDGE_MARGIN)
 
     chunks = []
     dropped_degenerate = 0
@@ -119,14 +118,14 @@ def realization_rows(arm: ArmParams, realization: int):
             frame = spectral_frame_blocks(pair, t, blocks, tol, window)
         else:
             frame = spectral_frame(pair, t, tol, window)
-        idx = select_levels(frame, arm.window_fraction, per_block=arm.per_block)
+        idx = select_levels(frame, arm.window)
         dropped_degenerate += len(window) - len(idx)
         inside = np.abs(frame.energies[idx]) <= edge_limit
         dropped_edge += int(np.sum(~inside))
         idx = idx[inside]
         if len(idx) == 0:
             continue
-        xdot, xddot = unfold_dynamics(model, frame, idx, arm.edge_margin)
+        xdot, xddot = unfold_dynamics(model, frame, idx)
         chunks.append(np.column_stack([
             np.full(len(idx), realization), idx, np.full(len(idx), t), frame.energies[idx],
             frame.velocities[idx], frame.curvatures[idx], xdot, xddot,

@@ -54,7 +54,9 @@ def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
     """Closed-form CDF of :func:`gamma_pdf`."""
     if not gamma > 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    z = np.asarray(k, dtype=float) / gamma
+    # z**2 overflows past |z| ~ 1.3e154; at |z| = 2**500 it is exact and the CDF exactly 0 or 1
+    with np.errstate(over="ignore"):  # k / gamma past the largest double is inf before the clip
+        z = np.clip(np.asarray(k, dtype=float) / gamma, -(2.0**500), 2.0**500)
     out = 0.5 * (1.0 + z / np.sqrt(1.0 + z**2))
     return out if out.ndim else float(out)
 

@@ -30,7 +30,7 @@ from .errors import ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
 #: rejected by unfold_dynamics (the density derivative diverges there).
-DEFAULT_EDGE_MARGIN = 1e-3
+EDGE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,30 +96,25 @@ def unfold(model: DensityModel, e) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def unfold_dynamics(
-    model: DensityModel,
-    frame: SpectralFrame,
-    indices: np.ndarray | None = None,
-    edge_margin: float = DEFAULT_EDGE_MARGIN,
-):
+def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray | None = None):
     """Velocities and curvatures of the unfolded positions x(E(t)).
 
     Chain rule through the unfolding map:
         xdot  = rho(E) Edot
         xddot = rho(E) Eddot + (d rho / dE) Edot^2
     Returns (xdot, xddot) for the selected levels (all by default).
-    Raises if a retained level sits within edge_margin * R of the
+    Raises if a retained level sits within EDGE_MARGIN * R of the
     support edge, where the density slope blows up.
     """
     if indices is None:
         indices = np.arange(frame.dim)
     e = frame.energies[indices]
-    limit = model.radius * (1.0 - edge_margin)
+    limit = model.radius * (1.0 - EDGE_MARGIN)
     if np.any(np.abs(e) > limit):
         worst = float(np.max(np.abs(e)))
         raise ValidationError(
             f"retained level at |E|={worst:.6g} is closer to the support edge "
-            f"R={model.radius:.6g} than the margin {edge_margin:g} allows"
+            f"R={model.radius:.6g} than the margin {EDGE_MARGIN:g} allows"
         )
     rho = mean_density(model, e)
     xdot = rho * frame.velocities[indices]
@@ -127,22 +122,18 @@ def unfold_dynamics(
     return xdot, xddot
 
 
-def select_levels(
-    frame: SpectralFrame,
-    window_fraction: float = 0.5,
-    per_block: bool = False,
-) -> np.ndarray:
+def select_levels(frame: SpectralFrame, window_fraction: float) -> np.ndarray:
     """Indices of the central window of levels, skipping degenerate-masked ones.
 
-    The window keeps round(window_fraction * n) levels centred by index.
-    With per_block set (the decoupled-ensemble mode) the window is
-    applied inside each block of a block-mode frame separately.
+    The window keeps round(window_fraction * size) levels centred by index
+    in each of the frame's blocks: the whole spectrum for a full frame,
+    each block separately for a block-mode frame (the decoupled ensemble).
     """
-    indices = window_levels(frame.block_sizes if per_block else (frame.dim,), window_fraction)
+    indices = window_levels(frame.block_sizes, window_fraction)
     return indices[~frame.degenerate_mask[indices]]
 
 
-def window_levels(block_sizes: tuple, window_fraction: float = 0.5) -> np.ndarray:
+def window_levels(block_sizes: tuple, window_fraction: float) -> np.ndarray:
     """The round(window_fraction * size) levels centred by index in each block."""
     if not 0.0 < window_fraction <= 1.0:
         raise ValidationError(f"window fraction must lie in (0, 1], got {window_fraction}")

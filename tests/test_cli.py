@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levelflow import gamma_cdf, model_bin_density, sample_gamma_dist, child_rng
+from levelflow import lambda_from_epsilon
 from levelflow import cli
 from levelflow.cli import main, parse_bin_spec, dumps_json, format_float, write_table
 from levelflow.errors import ValidationError
@@ -132,6 +135,79 @@ def test_config_file_unknown_key(tmp_path):
     assert run(["simulate", "--config", conf, "--epsilon", 1.0]) == 1
 
 
+#: Every RunConfig field as a --config value, each different from its default.
+_EVERY_KEY = {"n": "30", "m": "12", "alpha": "0.25", "epsilon": "0 1.5", "realizations": "3",
+              "t_samples": "2", "seed": "8", "window": "0.6", "bins": "9:-3:3", "out": "o.json",
+              "format": "json", "jobs": "1"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_file_with_every_key_matches_flags(tmp_path, monkeypatch, capsys, command):
+    assert list(_EVERY_KEY) == [f.name for f in fields(cli.RunConfig)]
+    conf = tmp_path / "every.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in _EVERY_KEY.items()))
+    flags = [command] + [token for key, value in _EVERY_KEY.items()
+                         for token in ("--" + key.replace("_", "-"), *value.split())]
+    parser = cli.build_parser()
+    from_flags = cli._config_from_args(parser.parse_args(flags))
+    from_file = cli._config_from_args(parser.parse_args([command, "--config", str(conf)]))
+    assert from_flags == from_file
+    assert (from_flags.epsilon, from_flags.t_samples, from_flags.jobs) == ((0.0, 1.5), 2, 1)
+    outputs = []
+    for name, argv in (("flags", flags), ("file", [command, "--config", str(conf)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # out = o.json is relative
+        assert main(argv) == 0
+        files = sorted(path for path in Path(".").rglob("*") if path.is_file())
+        outputs.append(({str(path): path.read_bytes() for path in files}, capsys.readouterr().out))
+    assert len(outputs[0][0]) == 4  # 2 tables + 2 summaries, or 2 arms + overlay + summary
+    assert outputs[0] == outputs[1]
+
+
+def _header_items(path):
+    """(key, text) of each `# key = value` header line of a CSV table, or (key, value)
+    of the JSON config, in file order."""
+    if path.suffix == ".json":
+        return list(json.loads(path.read_text())["config"].items())
+    lines = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+    return [tuple(line.split(" = ", 1)) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_header_keys_and_values(tmp_path, fmt):
+    common = ["--n", 24, "--m", 10, "--alpha", 0.25, "--realizations", 2, "--t-samples", 2,
+              "--seed", 5, "--window", 0.4, "--format", fmt, "--jobs", 1]
+    assert run(["simulate", "--epsilon", 0.5, "--out", tmp_path / f"s.{fmt}"] + common) == 0
+    assert run(["density", "--epsilon", 0.5, "--bins", 5, "--out", tmp_path / f"d.{fmt}"]
+               + common) == 0
+    assert run(["sweep", "--epsilon", 0, 0.5, "--bins", "11:-4:4", "--out", tmp_path / "sw"]
+               + common) == 0
+    lam = lambda_from_epsilon(24, 0.5)
+    if fmt == "csv":
+        def header(epsilon_list, bins, arm):
+            items = [("n", "24"), ("m", "10"), ("alpha", "0.25"), ("epsilon_list", epsilon_list),
+                     ("realizations", "2"), ("t_samples", "2"), ("seed", "5"),
+                     ("window", "0.40000000000000002"), ("bins", bins)]
+            return items + ([("epsilon", "0.5"), ("lambda", format_float(lam))] if arm else [])
+        one, two = "0.5", "0,0.5"
+    else:
+        def header(epsilon_list, bins, arm):
+            items = [("n", 24), ("m", 10), ("alpha", 0.25), ("epsilon_list", epsilon_list),
+                     ("realizations", 2), ("t_samples", 2), ("seed", 5), ("window", 0.4),
+                     ("bins", bins)]
+            return items + ([("epsilon", 0.5), ("lambda", lam)] if arm else [])
+        one, two = [0.5], [0.0, 0.5]
+    assert _header_items(tmp_path / f"s.{fmt}") == header(one, "41:-5:5", True)
+    assert _header_items(tmp_path / f"d.{fmt}") == header(one, "5", True)
+    assert _header_items(tmp_path / "sw" / f"hist_eps0.5.{fmt}") == header(two, "11:-4:4", True)
+    assert _header_items(tmp_path / "sw" / f"overlay.{fmt}") == header(two, "11:-4:4", False)
+    if fmt == "csv":
+        assert (tmp_path / "s.csv").read_text().startswith("# levelflow simulate\n# n = 24\n")
+    else:
+        payload = json.loads((tmp_path / "s.json").read_text())
+        assert list(payload) == ["command", "config", "columns", "rows", "summary"]
+
+
 def test_density_artifact(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = run(
@@ -237,6 +313,25 @@ def test_fit_non_finite_value_names_line_number(tmp_path, capsys, kind, bad):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 17" in err and "non-finite" in err
+
+
+def test_fit_with_a_huge_sample_keeps_its_ks_distance(tmp_path, capsys, recwarn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unguarded z**2 overflows past |z| ~ 1.3e154
+        assert gamma_cdf(np.array([-1e200, 1e200, 1e308]), 0.8).tolist() == [0.0, 1.0, 1.0]
+    samples = sample_gamma_dist(1.0, 1000, child_rng(77, 0))
+    outputs = []
+    for huge in (1e200, 1e100):  # past and short of the overflow; the model CDF is 1 at both
+        samples[0] = huge
+        data = tmp_path / f"k{huge:g}.txt"
+        data.write_text("\n".join(format(x, ".17g") for x in samples) + "\n")
+        assert run(["fit", "--input", data]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert float(outputs[0].split("KS vs fitted model = ")[1].split()[0]) < 0.1
+    assert len(recwarn) == 0
 
 
 def test_fit_missing_file_is_io_error(tmp_path):

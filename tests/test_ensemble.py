@@ -23,8 +23,8 @@ from levelflow import (
         dict(n=10, m=5, lam=0.5, alpha=float("inf")),
         dict(n=10, m=5, lam=0.5, alpha=float("nan")),
         dict(n=10, m=5, lam=0.5, t_samples=0),
-        dict(n=10, m=5, lam=0.5, window_fraction=0.0),
-        dict(n=10, m=5, lam=0.5, window_fraction=1.5),
+        dict(n=10, m=5, lam=0.5, window=0.0),
+        dict(n=10, m=5, lam=0.5, window=1.5),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):

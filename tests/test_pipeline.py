@@ -24,6 +24,7 @@ from levelflow.pipeline import (
     pooled_eigenvalues,
     realization_rows,
 )
+from levelflow.unfolding import EDGE_MARGIN
 
 
 def test_arm_from_epsilon_maps_coupling():
@@ -41,7 +42,7 @@ def test_per_block_engages_only_at_zero_coupling():
 
 
 def test_realization_rows_contract():
-    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=3, t_samples=1, window_fraction=0.5)
+    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=3, t_samples=1, window=0.5)
     rows, dropped_deg, dropped_edge = realization_rows(arm, 0)
     # one t sample, central half of 40 levels, nothing dropped generically
     assert rows.shape == (20, 8)
@@ -52,7 +53,7 @@ def test_realization_rows_contract():
 
 
 def test_realization_rows_per_block_levels():
-    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.0, seed=3, t_samples=1, window_fraction=0.5)
+    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.0, seed=3, t_samples=1, window=0.5)
     rows, _, _ = realization_rows(arm, 0)
     levels = np.sort(rows[:, 1].astype(int))
     # central half of each 20-level block: 5..14 and 25..34
@@ -116,8 +117,8 @@ def test_window_choice_insensitivity():
     # Normalized tails should not depend on the retained level window once
     # the batch is renormalized: compare central 50% vs 80% on shared draws.
     base = dict(n=60, m=30, alpha=0.5, lam=1.0, seed=21, t_samples=4)
-    narrow, _ = run_arm(ArmParams(**base, window_fraction=0.5), realizations=60)
-    wide, _ = run_arm(ArmParams(**base, window_fraction=0.8), realizations=60)
+    narrow, _ = run_arm(ArmParams(**base, window=0.5), realizations=60)
+    wide, _ = run_arm(ArmParams(**base, window=0.8), realizations=60)
     f_narrow = np.mean(np.abs(narrow.normalized) > 1.5)
     f_wide = np.mean(np.abs(wide.normalized) > 1.5)
     pooled = (f_narrow * len(narrow) + f_wide * len(wide)) / (len(narrow) + len(wide))
@@ -139,9 +140,9 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
             frame = spectral_frame_blocks(pair, t, (arm.m, arm.n - arm.m), tol)
         else:
             frame = spectral_frame(pair, t, tol)
-        idx = select_levels(frame, arm.window_fraction, per_block=arm.per_block)
-        idx = idx[np.abs(frame.energies[idx]) <= model.radius * (1.0 - arm.edge_margin)]
-        xdot, xddot = unfold_dynamics(model, frame, idx, arm.edge_margin)
+        idx = select_levels(frame, arm.window)
+        idx = idx[np.abs(frame.energies[idx]) <= model.radius * (1.0 - EDGE_MARGIN)]
+        xdot, xddot = unfold_dynamics(model, frame, idx)
         out.append(np.column_stack([frame.energies[idx], frame.velocities[idx],
                                     frame.curvatures[idx], xdot, xddot]))
     return np.concatenate(out)

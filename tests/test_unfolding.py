@@ -212,7 +212,7 @@ def test_select_levels_windows():
 def test_select_levels_per_block():
     frame = spectral_frame(goe_pair(100, seed=65), 0.1)
     frame.block_sizes = (50, 50)
-    picked = select_levels(frame, 0.5, per_block=True)
+    picked = select_levels(frame, 0.5)
     assert len(picked) == 50
     first, second = picked[:25], picked[25:]
     assert first[0] == 12 and first[-1] == 36
