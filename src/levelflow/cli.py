@@ -25,7 +25,7 @@ import numpy as np
 
 from .ensemble import check_scale, lambda_from_epsilon
 from .errors import LevelflowError, ValidationError
-from .pipeline import ArmParams, arm_summary, pooled_eigenvalues, run_arm
+from .pipeline import ArmParams, arm_summary, pooled_eigenvalues, run_arm, single_threaded_blas
 from .statistics import (
     Histogram,
     build_histogram,
@@ -71,7 +71,8 @@ class RunConfig:
     bins: str = _flag(DEFAULT_CURVATURE_BINS, "bin spec COUNT or COUNT:LO:HI")
     out: str = _flag("", "output path, a directory for sweep (default named after the command)")
     format: str = _flag(FORMATS[0], "output format", choices=FORMATS)
-    jobs: int = _flag(0, "worker processes; 0 means all cores, counted at run time")
+    jobs: int = _flag(0, "worker processes, each on one BLAS thread; 0 means all cores, "
+                          "counted at run time")
 
     def __post_init__(self):
         if self.m is None:
@@ -91,6 +92,7 @@ class RunConfig:
         check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
         for eps_index in range(len(self.epsilon)):
             self.arm(eps_index)  # ArmParams checks every arm value
+        check_bin_spec(self.bins)  # a bare COUNT is resolved by each command against its own range
 
     def arm(self, eps_index: int) -> ArmParams:
         """The validated arm of the eps_index-th epsilon."""
@@ -187,27 +189,35 @@ def write_summary(path, summary: dict):
     Path(path).write_text(dumps_json(summary) + "\n", encoding="utf-8")
 
 
-def parse_bin_spec(spec: str, default_range=None):
-    """Parse 'COUNT' or 'COUNT:LO:HI' into bin edges."""
+def check_bin_spec(spec: str):
+    """(count, range) of a bin spec 'COUNT' or 'COUNT:LO:HI', range None for a bare COUNT;
+    the syntax, the count and a given range are checked here only."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError(f"cannot parse bin spec {spec!r}; use COUNT or COUNT:LO:HI")
     try:
         count = int(parts[0])
-        lo, hi = (float(parts[1]), float(parts[2])) if len(parts) == 3 else (None, None)
+        bin_range = (float(parts[1]), float(parts[2])) if len(parts) == 3 else None
     except ValueError as exc:
         raise ValidationError(f"cannot parse bin spec {spec!r}; use COUNT or COUNT:LO:HI") from exc
-    if lo is None:
+    if count < 1:
+        raise ValidationError(f"bin count must be >= 1, got {count}")
+    if bin_range is not None and not -np.inf < bin_range[0] < bin_range[1] < np.inf:
+        lo, hi = bin_range
+        raise ValidationError(f"bin range must be finite and increasing, got [{lo}, {hi}]")
+    return count, bin_range
+
+
+def parse_bin_spec(spec: str, default_range=None):
+    """Bin edges of a checked bin spec; a bare COUNT spans `default_range`, the command's own."""
+    count, bin_range = check_bin_spec(spec)
+    if bin_range is None:
         if default_range is None:
             raise ValidationError(
                 f"bin spec {spec!r} gives no range and the command has no natural one"
             )
-        lo, hi = default_range
-    if count < 1:
-        raise ValidationError(f"bin count must be >= 1, got {count}")
-    if not -np.inf < lo < hi < np.inf:
-        raise ValidationError(f"bin range must be finite and increasing, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, count + 1)
+        bin_range = default_range
+    return np.linspace(*bin_range, count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +310,9 @@ def cmd_sweep(config: RunConfig) -> int:
     """Run the epsilon sweep and emit per-arm histograms plus an overlay table."""
     if len(config.epsilon) < 2:
         raise ValidationError("sweep needs at least two --epsilon values; use simulate for one")
+    edges = parse_bin_spec(config.bins, default_range=(-5.0, 5.0))
     out_dir = Path(config.out or "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    edges = parse_bin_spec(config.bins, default_range=(-5.0, 5.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     reference = model_bin_density(edges, 1.0)
     overlay = [centers, reference]
@@ -580,6 +590,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    single_threaded_blas()  # here, not at import, and for in-process callers of main too
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -147,10 +147,12 @@ def _eigenvalues_task(args):
     return realization_eigenvalues(*args)
 
 
-def _single_threaded_blas():
-    """Pool initializer: one BLAS thread per worker, where numpy's bundled OpenBLAS allows.
+def single_threaded_blas():
+    """Run numpy's bundled OpenBLAS on one thread in this process, where it allows.
 
-    Forked workers otherwise keep the parent's BLAS threads and crowd the cores."""
+    The CLI calls it at start, so `--jobs` is the only source of parallelism,
+    and each pool worker calls it as its initializer: workers started by
+    forkserver or spawn do not inherit the count."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -171,7 +173,7 @@ def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
     args = [(arm, r) for r in range(realizations)]
     if jobs <= 1 or realizations == 1:
         return [task(a) for a in args]
-    with multiprocessing.Pool(min(jobs, realizations), _single_threaded_blas) as pool:
+    with multiprocessing.Pool(min(jobs, realizations), single_threaded_blas) as pool:
         return pool.map(task, args, chunksize=max(realizations // (4 * jobs), 1))
 
 

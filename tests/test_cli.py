@@ -370,6 +370,31 @@ def test_density_without_usable_bins_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+#: Refused bin specs and their messages, the same from every run command.
+BAD_BIN_SPECS = {
+    "garbage": "cannot parse bin spec 'garbage'; use COUNT or COUNT:LO:HI",
+    "a:b:c": "cannot parse bin spec 'a:b:c'; use COUNT or COUNT:LO:HI",
+    "1:2": "cannot parse bin spec '1:2'; use COUNT or COUNT:LO:HI",
+    "0": "bin count must be >= 1, got 0",
+    "0:1:2": "bin count must be >= 1, got 0",
+    "10:5:-5": "bin range must be finite and increasing, got [5.0, -5.0]",
+    "4:-inf:inf": "bin range must be finite and increasing, got [-inf, inf]",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "density", "sweep"])
+@pytest.mark.parametrize("spec", list(BAD_BIN_SPECS))
+def test_bad_bin_spec_is_refused_before_anything_is_written(tmp_path, capsys, command, spec):
+    # every run command checks --bins, simulate too, and sweep before it makes its directory
+    epsilon = [0, 1] if command == "sweep" else [1]
+    out = tmp_path / ("sw" if command == "sweep" else "x.csv")
+    code = run([command, "--n", 20, "--epsilon", *epsilon, "--realizations", 2, "--t-samples", 1,
+                "--bins", spec, "--out", out, "--jobs", 1])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {BAD_BIN_SPECS[spec]}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_bin_spec():
     edges = parse_bin_spec("41:-5:5")
     assert len(edges) == 42 and edges[0] == -5.0 and edges[-1] == 5.0

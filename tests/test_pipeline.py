@@ -1,9 +1,14 @@
 import ctypes
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levelflow
 from levelflow import (
     RotatingPair,
     ValidationError,
@@ -16,7 +21,7 @@ from levelflow import (
     spectral_frame_blocks,
     unfold_dynamics,
 )
-from levelflow.cli import RunConfig
+from levelflow.cli import SAMPLE_COLUMNS, RunConfig, main
 from levelflow.pipeline import (
     DEGENERACY_SCALE,
     ArmParams,
@@ -97,6 +102,61 @@ def test_workers_run_blas_on_one_thread():
     if threads[0] is None:
         pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
     assert threads == [1, 1]
+
+
+def _child(script: str, env_drop=(), **env) -> list:
+    """The JSON list a fresh interpreter prints after running `script`, with src/ and this
+    directory on its path, `env_drop` removed from its environment and `env` added."""
+    paths = [str(Path(levelflow.__file__).parents[1]), str(Path(__file__).parent)]
+    child_env = {k: v for k, v in os.environ.items() if k not in env_drop}
+    paths.append(os.environ.get("PYTHONPATH"))
+    child_env.update(env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    # even when the environment asks OpenBLAS for more threads
+    code, threads = _child(
+        "import json\n"
+        "from levelflow.cli import main\n"
+        "from test_pipeline import _blas_threads_task\n"
+        "code = main(['simulate', '--n', '20', '--epsilon', '1', '--realizations', '2',\n"
+        f"             '--out', {str(tmp_path / 's.csv')!r}, '--jobs', '1'])\n"
+        "print(json.dumps([code, _blas_threads_task(None)]))\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+    assert code == 0
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+    assert threads == 1
+
+
+def test_cli_curvatures_match_unpinned_blas_bit_for_bit(tmp_path):
+    # at n = 200 OpenBLAS splits an eigh over its threads; one thread must give the same bits
+    threads = _child(
+        "import json, numpy as np\n"
+        "from levelflow import run_arm\n"
+        "from levelflow.cli import RunConfig\n"
+        "from test_pipeline import _blas_threads_task\n"
+        "arm = RunConfig(n=200, epsilon=(1.0,), t_samples=2, seed=7).arm(0)\n"
+        "batch, _ = run_arm(arm, 2)\n"
+        f"np.save({str(tmp_path / 'K.npy')!r}, batch.rescaled)\n"
+        "print(json.dumps([_blas_threads_task(None)]))\n",
+        env_drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
+    )[0]
+    if threads is not None and threads < 2:
+        pytest.skip("unpinned OpenBLAS runs one thread here; nothing to compare")
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--n", "200", "--epsilon", "1", "--realizations", "2",
+                 "--t-samples", "2", "--seed", "7", "--out", str(out), "--jobs", "1"]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0].split(",") == list(SAMPLE_COLUMNS)
+    pinned = np.array([float(line.split(",")[SAMPLE_COLUMNS.index("K")]) for line in lines[1:]])
+    unpinned = np.load(tmp_path / "K.npy")
+    assert len(unpinned) > 100
+    assert pinned.tobytes() == unpinned.tobytes()
 
 
 def test_run_arm_validation():
