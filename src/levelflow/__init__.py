@@ -47,12 +47,9 @@ from .statistics import (
 from .unfolding import (
     CurvatureBatch,
     DensityModel,
-    density_slope,
-    mean_density,
     normalize_batch,
     rescale_batch,
     select_levels,
-    unfold,
     unfold_dynamics,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "child_rng",
     "curvature_fd_oracle",
     "curvature_sums",
-    "density_slope",
     "fit_gamma",
     "gamma_cdf",
     "gamma_pdf",
@@ -88,7 +84,6 @@ __all__ = [
     "ks_statistic",
     "lambda_from_epsilon",
     "loglog_slope",
-    "mean_density",
     "model_bin_density",
     "normalize_batch",
     "pooled_eigenvalues",
@@ -103,7 +98,6 @@ __all__ = [
     "spectral_frame",
     "spectral_frame_blocks",
     "tail_exponent",
-    "unfold",
     "unfold_dynamics",
     "universal_pdf",
 ]

@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -36,7 +37,6 @@ from .statistics import (
     reduced_chi_square,
     universal_pdf,
 )
-from .unfolding import mean_density
 
 DEFAULT_SWEEP = (0.0, 0.32, 1.0, 3.2, 10.0)
 DEFAULT_CURVATURE_BINS = "41:-5:5"
@@ -278,16 +278,16 @@ def cmd_density(config: RunConfig) -> int:
         raise ValidationError("density needs exactly one --epsilon value")
     arm = config.arm(0)
     model = arm.density_model()
-    edges = parse_bin_spec(config.bins, default_range=(-model.radius, model.radius))
+    edges = parse_bin_spec(config.bins, default_range=model.support)
     eigenvalues = pooled_eigenvalues(arm, config.realizations, config.jobs)
     hist = build_histogram(eigenvalues, edges)
-    model_density = np.asarray(mean_density(model, hist.centers)) / config.n
+    model_density = np.asarray(model.density(hist.centers)) / config.n
     rows = [edges[:-1], edges[1:], hist.counts, hist.density, model_density]
     outside = hist.underflow + hist.overflow
     summary = {
         "epsilon": config.epsilon[0],
         "lambda": arm.lam,
-        "radius": model.radius,
+        "radius": model.support[1],
         "eigenvalues": int(len(eigenvalues)),
         "outside_support": int(outside),
         "outside_fraction": outside / len(eigenvalues),
@@ -394,11 +394,9 @@ def _read_fit_input_by_line(handle, kind: str) -> np.ndarray:
     path = handle.name
     width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
     values = []
-    skipped = []  # blank and comment line numbers, to find a data row's line without a reread
     for lineno, raw in enumerate(handle, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            skipped.append(lineno)
             continue
         try:
             numbers = [float(f) for f in line.replace(",", " ").split()]
@@ -407,15 +405,10 @@ def _read_fit_input_by_line(handle, kind: str) -> np.ndarray:
         if len(numbers) != width:
             raise ValidationError(f"{path}: line {lineno}: expected {expected}, "
                                   f"got {len(numbers)} fields")
+        if not all(map(math.isfinite, numbers)):
+            raise ValidationError(f"{path}: line {lineno}: non-finite value")
         values.append(numbers[0] if width == 1 else numbers)
-    data = np.asarray(values, dtype=float)
-    if not np.isfinite(data).all():  # the line is looked up only on this error path
-        lineno = int(np.argmin(np.isfinite(data).reshape(len(data), -1).all(axis=1))) + 1
-        for skip in skipped:  # ascending; each one at or before the line moves it down one
-            if skip <= lineno:
-                lineno += 1
-        raise ValidationError(f"{path}: line {lineno}: non-finite value")
-    return data
+    return np.asarray(values, dtype=float)
 
 
 def _histogram_from_pairs(pairs) -> Histogram:

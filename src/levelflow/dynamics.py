@@ -57,7 +57,8 @@ class SpectralFrame:
     the degeneracy tolerance; their curvature is stored but untrusted.
     block_sizes is (n,) for full-spectrum frames and lists per-block
     dimensions when the frame was assembled block by block.  Frames of
-    selected rows hold nan for other levels (per-block: no p_matrix).
+    selected rows hold nan for other levels.  Per-block frames carry no
+    p_matrix.
     """
 
     energies: np.ndarray
@@ -165,10 +166,9 @@ def spectral_frame_blocks(
     Each diagonal block is diagonalized on its own, so curvature sums
     never mix levels of different blocks and free crossings between
     blocks cannot trip the degeneracy guard.  energies are ascending
-    within each block; p_matrix is assembled block-diagonal, which is the
-    exact result since cross-block couplings vanish identically, unless
-    rows (block offset + in-block position, as in :func:`spectral_frame`)
-    are given: then it is None.
+    within each block; rows are block offset + in-block position, as in
+    :func:`spectral_frame`.  The frame carries no p_matrix: use
+    :func:`spectral_frame` on the whole pair for P.
     """
     if sum(block_sizes) != pair.dim:
         raise ValidationError(
@@ -180,16 +180,11 @@ def spectral_frame_blocks(
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         local = None if rows is None else rows[(rows >= lo) & (rows < hi)] - lo
         frames.append(spectral_frame(pair.block(lo, hi), t, degeneracy_tol, local))
-    p = None
-    if rows is None:
-        p = np.zeros((pair.dim, pair.dim))
-        for fr, lo, hi in zip(frames, offsets[:-1], offsets[1:]):
-            p[lo:hi, lo:hi] = fr.p_matrix
     return SpectralFrame(
         energies=np.concatenate([fr.energies for fr in frames]),
         velocities=np.concatenate([fr.velocities for fr in frames]),
         curvatures=np.concatenate([fr.curvatures for fr in frames]),
-        p_matrix=p,
+        p_matrix=None,
         degenerate_mask=np.concatenate([fr.degenerate_mask for fr in frames]),
         block_sizes=tuple(block_sizes),
     )

@@ -30,7 +30,6 @@ from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
 from .errors import ValidationError
 from .statistics import ks_statistic, tail_exponent
 from .unfolding import (
-    EDGE_MARGIN,
     CurvatureBatch,
     DensityModel,
     normalize_batch,
@@ -43,7 +42,7 @@ from .unfolding import (
 #: Couplings below this are treated as exactly decoupled (per-block mode).
 PER_BLOCK_THRESHOLD = 1e-6
 
-#: Degeneracy tolerance as a fraction of the semicircle radius.
+#: Degeneracy tolerance as a fraction of the half-width of the density support.
 DEGENERACY_SCALE = 1e-8
 
 #: |k| window for the tail-exponent entry of arm summaries.
@@ -77,6 +76,8 @@ class ArmParams:
             raise ValidationError(f"block size must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
         if self.t_samples < 1:
             raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.window <= 1.0:
             raise ValidationError(f"window must lie in (0, 1], got {self.window}")
 
@@ -105,10 +106,10 @@ def realization_rows(arm: ArmParams, realization: int):
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
     model = arm.density_model()
-    tol = DEGENERACY_SCALE * model.radius
+    lo, hi = model.support
+    tol = DEGENERACY_SCALE * 0.5 * (hi - lo)
     blocks = (arm.m, arm.n - arm.m) if arm.per_block else (arm.n,)
     window = window_levels(blocks, arm.window)
-    edge_limit = model.radius * (1.0 - EDGE_MARGIN)
 
     chunks = []
     dropped_degenerate = 0
@@ -120,7 +121,7 @@ def realization_rows(arm: ArmParams, realization: int):
             frame = spectral_frame(pair, t, tol, window)
         idx = select_levels(frame, arm.window)
         dropped_degenerate += len(window) - len(idx)
-        inside = np.abs(frame.energies[idx]) <= edge_limit
+        inside = model.interior(frame.energies[idx])
         dropped_edge += int(np.sum(~inside))
         idx = idx[inside]
         if len(idx) == 0:

@@ -29,13 +29,17 @@ from .ensemble import DEFAULT_ALPHA, check_scale
 from .errors import ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
-#: rejected by unfold_dynamics (the density derivative diverges there).
+#: not interior (the density derivative diverges at the edge).
 EDGE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Semicircle mean-density model of the coupled ensemble."""
+    """Semicircle mean-density model of the coupled ensemble.
+
+    The one place that knows the density: its support, the interior
+    where levels may be unfolded, rho, its slope and its integral.
+    """
 
     n: int
     alpha: float = DEFAULT_ALPHA
@@ -54,46 +58,47 @@ class DensityModel:
         )
 
     @property
-    def _prefactor(self) -> float:
-        return 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
+    def support(self) -> tuple[float, float]:
+        """(lo, hi) of the support; the density vanishes outside."""
+        return -self.radius, self.radius
 
+    def interior(self, e) -> np.ndarray:
+        """Mask of the energies at least EDGE_MARGIN * R inside the support."""
+        return np.abs(e) <= self.radius * (1.0 - EDGE_MARGIN)
 
-def mean_density(model: DensityModel, e) -> np.ndarray | float:
-    """Semicircle density at energy e; zero outside the support."""
-    e = np.asarray(e, dtype=float)
-    inside = np.abs(e) <= model.radius
-    out = np.where(
-        inside,
-        model._prefactor * np.sqrt(np.maximum(model.radius**2 - e**2, 0.0)),
-        0.0,
-    )
-    return out if out.ndim else float(out)
+    def density(self, e) -> np.ndarray | float:
+        """Semicircle density at energy e; zero outside the support."""
+        e = np.asarray(e, dtype=float)
+        scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
+        out = np.where(
+            np.abs(e) <= self.radius, scale * np.sqrt(np.maximum(self.radius**2 - e**2, 0.0)), 0.0
+        )
+        return out if out.ndim else float(out)
 
+    def slope(self, e) -> np.ndarray | float:
+        """d rho / dE strictly inside the support (diverges at the edges)."""
+        e = np.asarray(e, dtype=float)
+        scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
+        out = -scale * e / np.sqrt(self.radius**2 - e**2)
+        return out if out.ndim else float(out)
 
-def density_slope(model: DensityModel, e) -> np.ndarray | float:
-    """d rho / dE strictly inside the support (diverges at the edges)."""
-    e = np.asarray(e, dtype=float)
-    out = -model._prefactor * e / np.sqrt(model.radius**2 - e**2)
-    return out if out.ndim else float(out)
+    def count(self, e) -> np.ndarray | float:
+        """Cumulative mean level count x(E), the closed-form integral of rho.
 
-
-def unfold(model: DensityModel, e) -> np.ndarray | float:
-    """Cumulative mean level count x(E), the closed-form integral of rho.
-
-    x(E) = n [ 1/2 + E sqrt(R^2 - E^2) / (pi R^2) + arcsin(E/R) / pi ]
-    inside the support, clamped to 0 and n outside; monotone
-    non-decreasing everywhere.
-    """
-    e = np.asarray(e, dtype=float)
-    r = model.radius
-    ec = np.clip(e, -r, r)
-    out = model.n * (
-        0.5 + ec * np.sqrt(np.maximum(r**2 - ec**2, 0.0)) / (np.pi * r**2) + np.arcsin(ec / r) / np.pi
-    )
-    # arcsin noise exactly at the edge is O(n sqrt(eps)) and can stick out of
-    # the mathematical range; pin it back.
-    out = np.clip(out, 0.0, model.n)
-    return out if out.ndim else float(out)
+        x(E) = n [ 1/2 + E sqrt(R^2 - E^2) / (pi R^2) + arcsin(E/R) / pi ]
+        inside the support, clamped to 0 and n outside; monotone
+        non-decreasing everywhere.
+        """
+        e = np.asarray(e, dtype=float)
+        r = self.radius
+        ec = np.clip(e, -r, r)
+        out = self.n * (
+            0.5 + ec * np.sqrt(np.maximum(r**2 - ec**2, 0.0)) / (np.pi * r**2) + np.arcsin(ec / r) / np.pi
+        )
+        # arcsin noise exactly at the edge is O(n sqrt(eps)) and can stick out of
+        # the mathematical range; pin it back.
+        out = np.clip(out, 0.0, self.n)
+        return out if out.ndim else float(out)
 
 
 def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray | None = None):
@@ -103,22 +108,21 @@ def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarr
         xdot  = rho(E) Edot
         xddot = rho(E) Eddot + (d rho / dE) Edot^2
     Returns (xdot, xddot) for the selected levels (all by default).
-    Raises if a retained level sits within EDGE_MARGIN * R of the
-    support edge, where the density slope blows up.
+    Raises if a retained level is not in the model's interior, where
+    the density slope is finite.
     """
     if indices is None:
         indices = np.arange(frame.dim)
     e = frame.energies[indices]
-    limit = model.radius * (1.0 - EDGE_MARGIN)
-    if np.any(np.abs(e) > limit):
+    if not np.all(model.interior(e)):
         worst = float(np.max(np.abs(e)))
         raise ValidationError(
             f"retained level at |E|={worst:.6g} is closer to the support edge "
-            f"R={model.radius:.6g} than the margin {EDGE_MARGIN:g} allows"
+            f"R={model.support[1]:.6g} than the margin {EDGE_MARGIN:g} allows"
         )
-    rho = mean_density(model, e)
+    rho = model.density(e)
     xdot = rho * frame.velocities[indices]
-    xddot = rho * frame.curvatures[indices] + density_slope(model, e) * frame.velocities[indices] ** 2
+    xddot = rho * frame.curvatures[indices] + model.slope(e) * frame.velocities[indices] ** 2
     return xdot, xddot
 
 

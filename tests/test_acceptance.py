@@ -46,7 +46,6 @@ from levelflow import (
     hamiltonian_at,
     integrate_motion,
     ks_statistic,
-    mean_density,
     model_bin_density,
     pooled_eigenvalues,
     rotation_frame_check,
@@ -55,7 +54,6 @@ from levelflow import (
     sample_goe,
     spectral_frame,
     tail_exponent,
-    unfold,
 )
 from levelflow.cli import main
 from levelflow.dynamics import _local_gaps
@@ -212,7 +210,7 @@ def test_05_density_against_semicircle():
     elapsed = time.perf_counter() - start
     edges = np.linspace(-model.radius, model.radius, 42)
     hist = build_histogram(eigenvalues, edges)
-    expected = np.asarray(mean_density(model, hist.centers)) / arm.n * hist.widths * hist.total
+    expected = np.asarray(model.density(hist.centers)) / arm.n * hist.widths * hist.total
     worst_z = float(np.max(np.abs(hist.counts - expected) / np.sqrt(expected)))
     outside_bare = (hist.underflow + hist.overflow) / len(eigenvalues)
     soft_edge = model.radius * (1.0 + min(arm.m, arm.n - arm.m) ** (-2.0 / 3.0))
@@ -342,14 +340,14 @@ def test_10_unfolding_calibration():
     for r in range(100):
         stream = child_rng(1010, 0, r)
         e = np.linalg.eigvalsh(sample_goe(100, 0.5, stream))
-        x = unfold(model, e)[25:75]
+        x = model.count(e)[25:75]
         total += x[-1] - x[0]
         count += len(x) - 1
     spacing = total / count
     worst_quad = 0.0
     for e in np.linspace(-0.98, 0.98, 21) * model.radius:
-        numeric, _ = quad(lambda s: mean_density(model, s), -model.radius, e, limit=200)
-        worst_quad = max(worst_quad, abs(unfold(model, e) - numeric) / model.n)
+        numeric, _ = quad(model.density, -model.radius, e, limit=200)
+        worst_quad = max(worst_quad, abs(model.count(e) - numeric) / model.n)
     ok = abs(spacing - 1.0) < 0.02 and worst_quad < 1e-9
     report(
         "10",

@@ -129,6 +129,23 @@ def test_run_config_defaults_and_file_casts(tmp_path):
         cli._config_from_args(parser.parse_args(["simulate", "--config", str(conf)]))
 
 
+@pytest.mark.parametrize("how", ["flag", "config", "jobs2"])
+def test_negative_seed_is_refused_before_anything_is_written(tmp_path, capsys, how):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["simulate", "--n", 20, "--epsilon", 1, "--realizations", 2, "--out", out / "s.csv"]
+    if how == "config":
+        conf = tmp_path / "conf.txt"
+        conf.write_text("seed = -2\n")
+        args += ["--config", conf, "--jobs", 1]
+    else:
+        args += ["--seed", -1, "--jobs", 2 if how == "jobs2" else 1]
+    assert run(args) == 1
+    seed = -2 if how == "config" else -1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_config_file_unknown_key(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("banana = 7\n")
@@ -583,6 +600,8 @@ def test_fit_late_bad_value_names_its_line(tmp_path, capsys, bad, message):
     ("samples", "\n\n\nnan\n", 4),
     ("samples", "1\n2\n3\n\n\n# end\n1e400\n# after\n", 7),
     ("binned", "# h\n1 2\n\n3 nan\n# x\n-inf 1\n", 4),
+    ("samples", "nan\nabc\n", 1),  # the first bad line, not the later unparsable one
+    ("samples", "# h\n1\ninf\n2,3\n", 3),
 ])
 def test_fit_non_finite_line_counts_skipped_lines(tmp_path, kind, text, lineno):
     path = tmp_path / "in.txt"

@@ -29,7 +29,6 @@ from levelflow.pipeline import (
     pooled_eigenvalues,
     realization_rows,
 )
-from levelflow.unfolding import EDGE_MARGIN
 
 
 def test_arm_from_epsilon_maps_coupling():
@@ -64,6 +63,16 @@ def test_realization_rows_per_block_levels():
     # central half of each 20-level block: 5..14 and 25..34
     assert list(levels[:10]) == list(range(5, 15))
     assert list(levels[10:]) == list(range(25, 35))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.158])  # per-block, coupled
+def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
+    # the whole spectrum is kept (window 1), so the extreme levels reach the support edge
+    arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
+    rows, dropped_deg, dropped_edge = realization_rows(arm, 0)
+    assert dropped_edge > 0
+    assert np.all(arm.density_model().interior(rows[:, 3]))
+    assert len(rows) + dropped_deg + dropped_edge == arm.t_samples * arm.n
 
 
 def test_run_arm_batch_and_summary():
@@ -201,7 +210,7 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
         else:
             frame = spectral_frame(pair, t, tol)
         idx = select_levels(frame, arm.window)
-        idx = idx[np.abs(frame.energies[idx]) <= model.radius * (1.0 - EDGE_MARGIN)]
+        idx = idx[model.interior(frame.energies[idx])]
         xdot, xddot = unfold_dynamics(model, frame, idx)
         out.append(np.column_stack([frame.energies[idx], frame.velocities[idx],
                                     frame.curvatures[idx], xdot, xddot]))

@@ -6,15 +6,14 @@ from levelflow import (
     CurvatureBatch,
     DensityModel,
     ValidationError,
-    density_slope,
-    mean_density,
     normalize_batch,
     rescale_batch,
     select_levels,
     spectral_frame,
-    unfold,
     unfold_dynamics,
 )
+
+from levelflow.unfolding import EDGE_MARGIN
 
 from conftest import goe_pair
 
@@ -54,35 +53,44 @@ def test_model_validation_and_radius():
     assert model.radius == pytest.approx(np.sqrt(200.0), rel=1e-15)
 
 
+def test_support_and_interior():
+    model = DensityModel(n=100, alpha=0.5, lam=1.0)
+    assert model.support == (-model.radius, model.radius)
+    edge = model.radius * (1.0 - EDGE_MARGIN)
+    e = np.array([0.0, edge, np.nextafter(edge, np.inf), -edge, np.nextafter(-edge, -np.inf),
+                  model.radius])
+    assert model.interior(e).tolist() == [True, True, False, True, False, False]
+
+
 def test_mean_density_shape_and_center():
     model = DensityModel(n=100, alpha=0.5, lam=1.0)
     # value at the band centre: (2/pi) sqrt(n alpha)
-    assert mean_density(model, 0.0) == pytest.approx(2 / np.pi * np.sqrt(50.0), rel=1e-14)
-    assert mean_density(model, model.radius) == 0.0
-    assert mean_density(model, -model.radius) == 0.0
-    assert mean_density(model, model.radius * 1.5) == 0.0
+    assert model.density(0.0) == pytest.approx(2 / np.pi * np.sqrt(50.0), rel=1e-14)
+    assert model.density(model.radius) == 0.0
+    assert model.density(-model.radius) == 0.0
+    assert model.density(model.radius * 1.5) == 0.0
     grid = np.linspace(-model.radius, model.radius, 33)
-    np.testing.assert_allclose(mean_density(model, grid), mean_density(model, -grid))
+    np.testing.assert_allclose(model.density(grid), model.density(-grid))
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_mean_density_normalizes_to_n(model):
-    total, err = quad(lambda e: mean_density(model, e), -model.radius, model.radius, limit=200)
+    total, err = quad(model.density, -model.radius, model.radius, limit=200)
     assert abs(total - model.n) < 1e-8 * model.n
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_unfold_endpoints_and_monotonicity(model):
-    assert unfold(model, 0.0) == pytest.approx(model.n / 2, rel=1e-14)
-    assert unfold(model, -model.radius) == pytest.approx(0.0, abs=1e-12)
-    assert unfold(model, model.radius) == pytest.approx(model.n, rel=1e-14)
-    assert unfold(model, -2 * model.radius) == 0.0
-    assert unfold(model, 2 * model.radius) == model.n
+    assert model.count(0.0) == pytest.approx(model.n / 2, rel=1e-14)
+    assert model.count(-model.radius) == pytest.approx(0.0, abs=1e-12)
+    assert model.count(model.radius) == pytest.approx(model.n, rel=1e-14)
+    assert model.count(-2 * model.radius) == 0.0
+    assert model.count(2 * model.radius) == model.n
     grid = np.linspace(-1.2 * model.radius, 1.2 * model.radius, 301)
-    values = unfold(model, grid)
+    values = model.count(grid)
     assert np.all(np.diff(values) >= 0)
     interior = grid[np.abs(grid) < 0.999 * model.radius]
-    assert np.all(np.diff(unfold(model, interior)) > 0)
+    assert np.all(np.diff(model.count(interior)) > 0)
 
 
 def test_unfold_matches_quadrature():
@@ -90,13 +98,13 @@ def test_unfold_matches_quadrature():
     # single point R/2 and across a 100-point grid.
     model = DensityModel(n=100, alpha=0.5, lam=1.0)
     r = model.radius
-    target = unfold(model, r / 2)
-    numeric, err = quad(lambda e: mean_density(model, e), -r, r / 2, limit=200)
+    target = model.count(r / 2)
+    numeric, err = quad(model.density, -r, r / 2, limit=200)
     assert abs(target - numeric) < 1e-9 * abs(numeric)
     grid = np.linspace(-0.99 * r, 0.99 * r, 100)
     for e in grid:
-        numeric, _ = quad(lambda x: mean_density(model, x), -r, e, limit=200)
-        assert abs(unfold(model, e) - numeric) < 1e-9 * model.n
+        numeric, _ = quad(model.density, -r, e, limit=200)
+        assert abs(model.count(e) - numeric) < 1e-9 * model.n
 
 
 def test_unfold_dynamics_trivial_cases():
@@ -104,8 +112,8 @@ def test_unfold_dynamics_trivial_cases():
     frame = spectral_frame(goe_pair(10, seed=61), 0.4)
     idx = select_levels(frame, 0.5)
     xdot, xddot = unfold_dynamics(model, frame, idx)
-    rho = mean_density(model, frame.energies[idx])
-    slope = density_slope(model, frame.energies[idx])
+    rho = model.density(frame.energies[idx])
+    slope = model.slope(frame.energies[idx])
     np.testing.assert_allclose(xdot, rho * frame.velocities[idx], rtol=1e-14)
     np.testing.assert_allclose(
         xddot, rho * frame.curvatures[idx] + slope * frame.velocities[idx] ** 2, rtol=1e-14
@@ -117,7 +125,7 @@ def test_unfold_dynamics_trivial_cases():
     np.testing.assert_allclose(xdot0, 0.0, atol=0.0)
     np.testing.assert_allclose(xddot0, rho * flat.curvatures[idx], rtol=1e-14)
     # at the band centre the density slope vanishes
-    assert density_slope(model, 0.0) == 0.0
+    assert model.slope(0.0) == 0.0
 
 
 def test_unfold_dynamics_chain_rule_oracle():
@@ -130,9 +138,9 @@ def test_unfold_dynamics_chain_rule_oracle():
     frame = spectral_frame(pair, t)
     idx = select_levels(frame, 0.5)
     xdot, xddot = unfold_dynamics(model, frame, idx)
-    x_minus = unfold(model, np.linalg.eigvalsh(pair.h1 * np.cos(t - delta) + pair.h2 * np.sin(t - delta)))[idx]
-    x_center = unfold(model, frame.energies)[idx]
-    x_plus = unfold(model, np.linalg.eigvalsh(pair.h1 * np.cos(t + delta) + pair.h2 * np.sin(t + delta)))[idx]
+    x_minus = model.count(np.linalg.eigvalsh(pair.h1 * np.cos(t - delta) + pair.h2 * np.sin(t - delta)))[idx]
+    x_center = model.count(frame.energies)[idx]
+    x_plus = model.count(np.linalg.eigvalsh(pair.h1 * np.cos(t + delta) + pair.h2 * np.sin(t + delta)))[idx]
     fd_xdot = (x_plus - x_minus) / (2 * delta)
     fd_xddot = (x_plus - 2 * x_center + x_minus) / delta**2
     assert np.max(np.abs(fd_xdot - xdot)) / np.max(np.abs(fd_xdot)) < 1e-5
