@@ -51,6 +51,7 @@ from .unfolding import (
     rescale_batch,
     select_levels,
     unfold_dynamics,
+    window_levels,
 )
 
 __version__ = "0.1.0"
@@ -100,4 +101,5 @@ __all__ = [
     "tail_exponent",
     "unfold_dynamics",
     "universal_pdf",
+    "window_levels",
 ]

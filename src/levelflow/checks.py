@@ -20,6 +20,7 @@ from .dynamics import (
     SpectralFrame,
     _local_gaps,
     curvature_sums,
+    degeneracy_tolerance,
     hamiltonian_at,
     spectral_frame,
 )
@@ -106,13 +107,13 @@ def integrate_motion(
         k4e, k4p = _motion_rhs(energies + h * k3e, p + h * k3p)
         energies = energies + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    tol = max(1e-8 * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
+    half_width = 0.5 * (energies[-1] - energies[0])
     return SpectralFrame(
         energies=energies,
         velocities=np.diag(p).copy(),
         curvatures=curvature_sums(energies, p),
         p_matrix=p,
-        degenerate_mask=_local_gaps(energies) < tol,
+        degenerate_mask=_local_gaps(energies) < degeneracy_tolerance(half_width),
     )
 
 

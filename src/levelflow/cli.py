@@ -202,9 +202,12 @@ def check_bin_spec(spec: str):
         raise ValidationError(f"cannot parse bin spec {spec!r}; use COUNT or COUNT:LO:HI") from exc
     if count < 1:
         raise ValidationError(f"bin count must be >= 1, got {count}")
-    if bin_range is not None and not -np.inf < bin_range[0] < bin_range[1] < np.inf:
+    if bin_range is not None:
         lo, hi = bin_range
-        raise ValidationError(f"bin range must be finite and increasing, got [{lo}, {hi}]")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValidationError(f"bin range must be finite and increasing, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"bin range [{lo}, {hi}] is too wide: its width overflows")
     return count, bin_range
 
 

@@ -14,11 +14,20 @@ diagonalization.  Independent cross-checks of the closed form live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigensolverError, ValidationError
+
+#: Degeneracy tolerance as a fraction of the half-width of the spectrum.
+DEGENERACY_SCALE = 1e-8
+
+
+def degeneracy_tolerance(half_width: float) -> float:
+    """Gap below which a level counts as degenerate: DEGENERACY_SCALE * half_width,
+    with a positive floor so exactly coincident spectra still get masked."""
+    return max(DEGENERACY_SCALE * half_width, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,8 @@ class SpectralFrame:
     velocities equal the diagonal of p_matrix exactly, and
     degenerate_mask flags levels whose nearest-neighbour gap fell below
     the degeneracy tolerance; their curvature is stored but untrusted.
-    block_sizes is (n,) for full-spectrum frames and lists per-block
-    dimensions when the frame was assembled block by block.  Frames of
-    selected rows hold nan for other levels.  Per-block frames carry no
-    p_matrix.
+    Frames of selected rows hold nan for other levels.  Per-block frames
+    carry no p_matrix.
     """
 
     energies: np.ndarray
@@ -66,11 +73,6 @@ class SpectralFrame:
     curvatures: np.ndarray
     p_matrix: np.ndarray | None
     degenerate_mask: np.ndarray
-    block_sizes: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.block_sizes:
-            self.block_sizes = (len(self.energies),)
 
     @property
     def dim(self) -> int:
@@ -128,16 +130,16 @@ def spectral_frame(
 ) -> SpectralFrame:
     """Diagonalize H(t) and evaluate level velocities and curvatures.
 
-    degeneracy_tol defaults to 1e-8 times the half-spread of the computed
-    spectrum (about the semicircle radius for GOE-scaled input).  rows,
-    if given, are the levels whose velocities and curvatures are wanted.
+    degeneracy_tol defaults to :func:`degeneracy_tolerance` of the half-spread
+    of the computed spectrum (about the semicircle radius for GOE-scaled
+    input).  rows, if given, are the levels whose velocities and curvatures
+    are wanted.
     P itself is formed in full: BLAS tiles and threads a product's rows
     by its shape, so selected rows alone can differ in the last bit.
     """
     energies, u = _eigh(hamiltonian_at(pair, t), f"H(t) at t={t}")
     if degeneracy_tol is None:
-        # Positive floor so exactly coincident spectra still get masked.
-        degeneracy_tol = max(1e-8 * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
+        degeneracy_tol = degeneracy_tolerance(0.5 * (energies[-1] - energies[0]))
     elif not degeneracy_tol > 0:
         raise ValidationError(f"degeneracy tolerance must be positive, got {degeneracy_tol}")
     p = u.T @ hamiltonian_rate(pair, t) @ u
@@ -157,7 +159,7 @@ def spectral_frame(
 def spectral_frame_blocks(
     pair: RotatingPair,
     t: float,
-    block_sizes: tuple,
+    blocks: tuple,
     degeneracy_tol: float | None = None,
     rows=None,
 ) -> SpectralFrame:
@@ -170,12 +172,10 @@ def spectral_frame_blocks(
     :func:`spectral_frame`.  The frame carries no p_matrix: use
     :func:`spectral_frame` on the whole pair for P.
     """
-    if sum(block_sizes) != pair.dim:
-        raise ValidationError(
-            f"block sizes {block_sizes} do not add up to dimension {pair.dim}"
-        )
+    if sum(blocks) != pair.dim:
+        raise ValidationError(f"block sizes {blocks} do not add up to dimension {pair.dim}")
     rows = None if rows is None else np.asarray(rows, dtype=int)
-    offsets = np.cumsum((0,) + tuple(block_sizes))
+    offsets = np.cumsum((0,) + tuple(blocks))
     frames = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         local = None if rows is None else rows[(rows >= lo) & (rows < hi)] - lo
@@ -186,5 +186,4 @@ def spectral_frame_blocks(
         curvatures=np.concatenate([fr.curvatures for fr in frames]),
         p_matrix=None,
         degenerate_mask=np.concatenate([fr.degenerate_mask for fr in frames]),
-        block_sizes=tuple(block_sizes),
     )

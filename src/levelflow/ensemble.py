@@ -31,12 +31,19 @@ if TYPE_CHECKING:
 DEFAULT_ALPHA = 0.5
 
 
-def check_scale(n: int, alpha: float) -> None:
-    """Refuse a dimension below 1 or a Gaussian scale that is not positive and finite."""
+def check_scale(n: int, alpha: float, lam: float = 0.0) -> None:
+    """Refuse n < 1, lam outside [0, 1], or an alpha for which alpha, sqrt(8 alpha)
+    or the squared radius R^2 = n (1 + lam^2) / (2 alpha) is not positive and finite."""
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
     if not 0 < alpha < np.inf:
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"coupling must lie in [0, 1], got lambda={lam:g} "
+                              f"(epsilon={np.sqrt(n) * lam:g} at n={n})")
+    if not (8.0 * alpha < np.inf and 0.0 < n * (1.0 + lam**2) / (2.0 * alpha) < np.inf):
+        raise ValidationError(f"alpha={alpha:g} is out of range at n={n}: sqrt(8 alpha) and "
+                              f"R^2 = n(1 + lambda^2)/(2 alpha) must be finite and positive")
 
 
 def lambda_from_epsilon(n: int, eps: float) -> float:

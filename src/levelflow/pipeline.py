@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import RotatingPair, spectral_frame, spectral_frame_blocks
+from .dynamics import RotatingPair, degeneracy_tolerance, spectral_frame, spectral_frame_blocks
 from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
 from .errors import ValidationError
 from .statistics import ks_statistic, tail_exponent
@@ -41,9 +41,6 @@ from .unfolding import (
 
 #: Couplings below this are treated as exactly decoupled (per-block mode).
 PER_BLOCK_THRESHOLD = 1e-6
-
-#: Degeneracy tolerance as a fraction of the half-width of the density support.
-DEGENERACY_SCALE = 1e-8
 
 #: |k| window for the tail-exponent entry of arm summaries.
 SUMMARY_TAIL_WINDOW = (3.0, 30.0)
@@ -86,6 +83,11 @@ class ArmParams:
         return self.lam < PER_BLOCK_THRESHOLD
 
     @property
+    def blocks(self) -> tuple:
+        """Sizes of the diagonal blocks its frames diagonalize: (m, n - m) per block, else (n,)."""
+        return (self.m, self.n - self.m) if self.per_block else (self.n,)
+
+    @property
     def epsilon(self) -> float:
         return float(np.sqrt(self.n) * self.lam)
 
@@ -96,33 +98,32 @@ class ArmParams:
 def realization_rows(arm: ArmParams, realization: int):
     """Curvature-sample rows of one realization.
 
-    Returns (rows, dropped_degenerate, dropped_edge) where rows is an
-    (n_samples, 8) array with columns (realization, level, t, E, Edot,
-    Eddot, xdot, xddot).  Levels are indexed by position in the ascending
-    spectrum (block offset + in-block position for per-block frames).
-    Frames evaluate velocities and curvatures of the central window only.
+    Returns (rows, counts) where rows is an (n_samples, 8) array with
+    columns (realization, level, t, E, Edot, Eddot, xdot, xddot) and counts
+    holds the window levels dropped by the degeneracy guard and by the
+    support-edge margin, as {"dropped_degenerate": .., "dropped_edge": ..}.
+    Levels are indexed by position in the ascending spectrum (block offset
+    + in-block position for per-block frames).  Frames evaluate velocities
+    and curvatures of the central window only.
     """
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
     model = arm.density_model()
-    lo, hi = model.support
-    tol = DEGENERACY_SCALE * 0.5 * (hi - lo)
-    blocks = (arm.m, arm.n - arm.m) if arm.per_block else (arm.n,)
-    window = window_levels(blocks, arm.window)
+    tol = degeneracy_tolerance(model.support[1])
+    window = window_levels(arm.blocks, arm.window)
 
     chunks = []
-    dropped_degenerate = 0
-    dropped_edge = 0
+    counts = {"dropped_degenerate": 0, "dropped_edge": 0}
     for t in ts:
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, blocks, tol, window)
+            frame = spectral_frame_blocks(pair, t, arm.blocks, tol, window)
         else:
             frame = spectral_frame(pair, t, tol, window)
-        idx = select_levels(frame, arm.window)
-        dropped_degenerate += len(window) - len(idx)
+        idx = select_levels(frame, window)
+        counts["dropped_degenerate"] += len(window) - len(idx)
         inside = model.interior(frame.energies[idx])
-        dropped_edge += int(np.sum(~inside))
+        counts["dropped_edge"] += int(np.sum(~inside))
         idx = idx[inside]
         if len(idx) == 0:
             continue
@@ -132,7 +133,7 @@ def realization_rows(arm: ArmParams, realization: int):
             frame.velocities[idx], frame.curvatures[idx], xdot, xddot,
         ]))
     rows = np.concatenate(chunks) if chunks else np.empty((0, 8))
-    return rows, dropped_degenerate, dropped_edge
+    return rows, counts
 
 
 def realization_eigenvalues(arm: ArmParams, realization: int) -> np.ndarray:
@@ -181,8 +182,8 @@ def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
 def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     """Full batch for one coupling arm: sample, unfold, rescale, normalize.
 
-    Returns (batch, info) where info counts the levels dropped by the
-    degeneracy guard and the support-edge margin.
+    Returns (batch, info) where info is the key-wise sum of the
+    realizations' counts (see :func:`realization_rows`).
     """
     results = _map_realizations(_rows_task, arm, realizations, jobs)
     rows = np.concatenate([r[0] for r in results])
@@ -191,10 +192,7 @@ def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     batch = CurvatureBatch.from_rows(rows)
     rescale_batch(batch)
     normalize_batch(batch)
-    info = {
-        "dropped_degenerate": int(sum(r[1] for r in results)),
-        "dropped_edge": int(sum(r[2] for r in results)),
-    }
+    info = {key: sum(counts[key] for _, counts in results) for key in results[0][1]}
     return batch, info
 
 
@@ -213,8 +211,7 @@ def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:
         "n_samples": len(batch),
         "mean_abs_rescaled": float(np.mean(np.abs(batch.rescaled))),
         "ks_vs_universal": ks_statistic(k, 1.0),
-        "dropped_degenerate": info["dropped_degenerate"],
-        "dropped_edge": info["dropped_edge"],
+        **info,
     }
     try:
         exponent, stderr = tail_exponent(k, *SUMMARY_TAIL_WINDOW)

@@ -47,12 +47,7 @@ class DensityModel:
     radius: float = field(init=False)
 
     def __post_init__(self):
-        check_scale(self.n, self.alpha)
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError(
-                f"coupling must lie in [0, 1], got lambda={self.lam:g} "
-                f"(epsilon={np.sqrt(self.n) * self.lam:g} at n={self.n})"
-            )
+        check_scale(self.n, self.alpha, self.lam)
         object.__setattr__(
             self, "radius", float(np.sqrt(self.n * (1.0 + self.lam**2) / (2.0 * self.alpha)))
         )
@@ -126,24 +121,18 @@ def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarr
     return xdot, xddot
 
 
-def select_levels(frame: SpectralFrame, window_fraction: float) -> np.ndarray:
-    """Indices of the central window of levels, skipping degenerate-masked ones.
-
-    The window keeps round(window_fraction * size) levels centred by index
-    in each of the frame's blocks: the whole spectrum for a full frame,
-    each block separately for a block-mode frame (the decoupled ensemble).
-    """
-    indices = window_levels(frame.block_sizes, window_fraction)
-    return indices[~frame.degenerate_mask[indices]]
+def select_levels(frame: SpectralFrame, window: np.ndarray) -> np.ndarray:
+    """The levels of the index window (see :func:`window_levels`) that the
+    frame's degeneracy mask does not flag."""
+    return window[~frame.degenerate_mask[window]]
 
 
-def window_levels(block_sizes: tuple, window_fraction: float) -> np.ndarray:
-    """The round(window_fraction * size) levels centred by index in each block."""
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValidationError(f"window fraction must lie in (0, 1], got {window_fraction}")
+def window_levels(blocks: tuple, window_fraction: float) -> np.ndarray:
+    """The round(window_fraction * size) levels centred by index in each of
+    the blocks, whose sizes are listed in order (see ArmParams.blocks)."""
     picked = []
     offset = 0
-    for size in block_sizes:
+    for size in blocks:
         keep = max(int(round(window_fraction * size)), 1)
         lo = offset + (size - keep) // 2
         picked.append(np.arange(lo, lo + keep))

@@ -146,6 +146,29 @@ def test_negative_seed_is_refused_before_anything_is_written(tmp_path, capsys, h
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "density"])
+@pytest.mark.parametrize("alpha", [5e307, 1e308, 1e-309])
+def test_alpha_whose_derived_scales_overflow_is_refused(tmp_path, capsys, command, alpha):
+    # 5e307: sqrt(8 alpha) overflows; 1e308: 8 alpha too, and R is 0; 1e-309: R^2 overflows
+    code = run([command, "--n", 20, "--epsilon", 1, "--realizations", 2, "--alpha", alpha,
+                "--out", tmp_path / "x.csv", "--jobs", 1])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha={alpha:g} is out of range at n=20") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "density"])
+@pytest.mark.parametrize("alpha", [1e-307, 1e307])
+def test_alpha_near_the_refused_range_still_runs(tmp_path, command, alpha):
+    out = tmp_path / "x.csv"
+    code = run([command, "--n", 20, "--epsilon", 1, "--realizations", 2, "--alpha", alpha,
+                "--out", out, "--jobs", 1])
+    assert code == 0
+    _, _, rows = read_table(out)
+    assert len(rows) > 0 and np.all(np.isfinite(rows))
+
+
 def test_config_file_unknown_key(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("banana = 7\n")
@@ -396,6 +419,7 @@ BAD_BIN_SPECS = {
     "0:1:2": "bin count must be >= 1, got 0",
     "10:5:-5": "bin range must be finite and increasing, got [5.0, -5.0]",
     "4:-inf:inf": "bin range must be finite and increasing, got [-inf, inf]",
+    "5:-1e308:1e308": "bin range [-1e+308, 1e+308] is too wide: its width overflows",
 }
 
 
@@ -427,6 +451,10 @@ def test_parse_bin_spec():
         parse_bin_spec("0:0:1")
     with pytest.raises(ValidationError):
         parse_bin_spec("4:-inf:inf")
+    with pytest.raises(ValidationError, match="width overflows"):
+        parse_bin_spec("5:-1e308:1e308")
+    edges = parse_bin_spec("2:-8e307:8e307")  # the widest ranges still pass
+    assert edges[0] == -8e307 and edges[-1] == 8e307
 
 
 def test_dumps_json_formats():

@@ -22,6 +22,9 @@ from levelflow import (
         dict(n=10, m=5, lam=0.5, alpha=0.0),
         dict(n=10, m=5, lam=0.5, alpha=float("inf")),
         dict(n=10, m=5, lam=0.5, alpha=float("nan")),
+        dict(n=10, m=5, lam=0.5, alpha=5e307),  # sqrt(8 alpha) overflows
+        dict(n=10, m=5, lam=0.5, alpha=1e308),  # so does 8 alpha, and R comes out 0
+        dict(n=10, m=5, lam=0.5, alpha=1e-309),  # R^2 overflows
         dict(n=10, m=5, lam=0.5, t_samples=0),
         dict(n=10, m=5, lam=0.5, window=0.0),
         dict(n=10, m=5, lam=0.5, window=1.5),

