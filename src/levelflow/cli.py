@@ -157,7 +157,7 @@ def _header_lines(command: str, config: dict) -> list:
 
 
 #: Rows formatted per write; the writer's memory is one chunk, not the table.
-WRITE_CHUNK_ROWS = 4096
+WRITE_CHUNK_ROWS = 1024
 
 
 def write_table(path, fmt: str, command: str, config: dict, columns, data, summary=None):
@@ -270,6 +270,7 @@ def cmd_simulate(config: RunConfig) -> int:
             summary=summary,
         )
         write_summary(str(path) + ".summary.json", summary)
+        del batch  # released before the next arm runs
         _print_arm(summary)
         print(f"wrote {path}")
     return 0
@@ -310,22 +311,30 @@ def cmd_density(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    """Run the epsilon sweep and emit per-arm histograms plus an overlay table."""
+    """Run the epsilon sweep and emit per-arm histograms plus an overlay table.
+
+    Each arm keeps only its summary and histogram; the output directory is
+    made and written once every arm has succeeded, so a failed sweep writes
+    nothing.
+    """
     if len(config.epsilon) < 2:
         raise ValidationError("sweep needs at least two --epsilon values; use simulate for one")
     edges = parse_bin_spec(config.bins, default_range=(-5.0, 5.0))
+    summaries, hists = [], []
+    for i in range(len(config.epsilon)):
+        arm = config.arm(i)
+        batch, info = run_arm(arm, config.realizations, config.jobs)
+        summaries.append(arm_summary(arm, batch, info))
+        hists.append(build_histogram(batch.normalized, edges))
+        del batch  # released before the next arm runs
+        _print_arm(summaries[-1])
     out_dir = Path(config.out or "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     reference = model_bin_density(edges, 1.0)
     overlay = [centers, reference]
     overlay_columns = ["bin_center", "universal_density"]
-    summaries = []
-    for i, eps in enumerate(config.epsilon):
-        arm = config.arm(i)
-        batch, info = run_arm(arm, config.realizations, config.jobs)
-        summaries.append(arm_summary(arm, batch, info))
-        hist = build_histogram(batch.normalized, edges)
+    for i, (eps, summary, hist) in enumerate(zip(config.epsilon, summaries, hists)):
         rows = [edges[:-1], edges[1:], hist.counts, hist.density, reference]
         write_table(
             out_dir / f"hist_eps{eps:g}.{config.format}",
@@ -334,11 +343,10 @@ def cmd_sweep(config: RunConfig) -> int:
             config.header_dict(i),
             HIST_COLUMNS,
             rows,
-            summary=summaries[-1],
+            summary=summary,
         )
         overlay.append(hist.density)
         overlay_columns.append(f"density_eps{eps:g}")
-        _print_arm(summaries[-1])
     write_table(
         out_dir / f"overlay.{config.format}",
         config.format,

@@ -170,35 +170,47 @@ def single_threaded_blas():
 
 
 def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
+    """Results of `task` for realizations 0, 1, .. in order, each yielded as it arrives."""
     if realizations < 1:
         raise ValidationError(f"realization count must be >= 1, got {realizations}")
-    args = [(arm, r) for r in range(realizations)]
+    args = ((arm, r) for r in range(realizations))
     if jobs <= 1 or realizations == 1:
-        return [task(a) for a in args]
-    with multiprocessing.Pool(min(jobs, realizations), single_threaded_blas) as pool:
-        return pool.map(task, args, chunksize=max(realizations // (4 * jobs), 1))
+        return map(task, args)
+    return _pooled(task, args, min(jobs, realizations), max(realizations // (4 * jobs), 1))
+
+
+def _pooled(task, args, workers: int, chunksize: int):
+    with multiprocessing.Pool(workers, single_threaded_blas) as pool:
+        yield from pool.imap(task, args, chunksize=chunksize)
 
 
 def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     """Full batch for one coupling arm: sample, unfold, rescale, normalize.
 
-    Returns (batch, info) where info is the key-wise sum of the
-    realizations' counts (see :func:`realization_rows`).
+    Each realization's rows are copied into one block as they arrive; the
+    block has room for every window level and the batch takes its filled
+    part, so the rows are held once.  Returns (batch, info) where info is
+    the key-wise sum of the realizations' counts (see :func:`realization_rows`).
     """
     results = _map_realizations(_rows_task, arm, realizations, jobs)
-    rows = np.concatenate([r[0] for r in results])
-    if len(rows) == 0:
+    rows = np.empty((realizations * arm.t_samples * len(window_levels(arm.blocks, arm.window)), 8))
+    filled, info = 0, {}
+    for chunk, counts in results:
+        rows[filled : filled + len(chunk)] = chunk
+        filled += len(chunk)
+        for key, value in counts.items():
+            info[key] = info.get(key, 0) + value
+    if filled == 0:
         raise ValidationError("no curvature samples survived level selection")
-    batch = CurvatureBatch.from_rows(rows)
+    batch = CurvatureBatch.from_rows(rows[:filled])
     rescale_batch(batch)
     normalize_batch(batch)
-    info = {key: sum(counts[key] for _, counts in results) for key in results[0][1]}
     return batch, info
 
 
 def pooled_eigenvalues(arm: ArmParams, realizations: int, jobs: int = 1) -> np.ndarray:
     """Eigenvalues of `realizations` independent draws, concatenated in order."""
-    return np.concatenate(_map_realizations(_eigenvalues_task, arm, realizations, jobs))
+    return np.concatenate(list(_map_realizations(_eigenvalues_task, arm, realizations, jobs)))
 
 
 def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:

@@ -294,6 +294,31 @@ def test_sweep_artifacts(tmp_path):
     assert arms[1]["per_block"] is False
 
 
+def test_failed_sweep_writes_nothing(tmp_path, capsys):
+    # no normalized curvature reaches [100, 200), so no arm has a histogram density
+    out = tmp_path / "sw"
+    code = run(["sweep", "--n", 20, "--epsilon", 0, 1, "--realizations", 2,
+                "--bins", "10:100:200", "--out", out, "--jobs", 1])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no samples to normalize the histogram density\n"
+    assert not out.exists()
+
+
+def test_sweep_failing_in_a_later_arm_writes_nothing(tmp_path, monkeypatch):
+    real_run_arm = cli.run_arm
+
+    def run_arm(arm, realizations, jobs):
+        if arm.eps_index == 1:
+            raise ValidationError("second arm refused")
+        return real_run_arm(arm, realizations, jobs)
+
+    monkeypatch.setattr(cli, "run_arm", run_arm)
+    out = tmp_path / "sw"
+    code = run(["sweep", "--n", 20, "--epsilon", 0, 1, "--realizations", 2, "--out", out, "--jobs", 1])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_sweep_rejects_single_epsilon(tmp_path, capsys):
     code = run(["sweep", "--n", 20, "--epsilon", 1.0, "--out", tmp_path / "sw"])
     assert code == 1

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,13 @@ import pytest
 
 import levelflow
 from levelflow import (
+    CurvatureBatch,
     RotatingPair,
     ValidationError,
     arm_summary,
     child_rng,
+    normalize_batch,
+    rescale_batch,
     run_arm,
     sample_coupled,
     select_levels,
@@ -78,13 +83,21 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
 
 @pytest.mark.parametrize("lam", [0.0, 0.158])  # per-block, coupled
 def test_run_arm_info_sums_the_realization_counts(lam):
+    # edge drops leave run_arm's row block part empty; the batch must be the realizations' rows
     arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
-    batch, info = run_arm(arm, realizations=3)
-    counts = [realization_rows(arm, r)[1] for r in range(3)]
-    assert info == {key: sum(c[key] for c in counts) for key in counts[0]}
-    assert list(info) == ["dropped_degenerate", "dropped_edge"]
-    assert info["dropped_edge"] > 0
-    assert len(batch) + sum(info.values()) == 3 * arm.t_samples * arm.n
+    results = [realization_rows(arm, r) for r in range(3)]
+    counts = [c for _, c in results]
+    rows = np.concatenate([r for r, _ in results])
+    expected = normalize_batch(rescale_batch(CurvatureBatch.from_rows(rows)))
+    for jobs in (1, 2):
+        batch, info = run_arm(arm, realizations=3, jobs=jobs)
+        assert info == {key: sum(c[key] for c in counts) for key in counts[0]}
+        assert list(info) == ["dropped_degenerate", "dropped_edge"]
+        assert info["dropped_edge"] > 0
+        assert len(batch) + sum(info.values()) == 3 * arm.t_samples * arm.n
+        for column in fields(CurvatureBatch):
+            got, want = getattr(batch, column.name), getattr(expected, column.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (jobs, column.name)
 
 
 def test_run_arm_batch_and_summary():
@@ -119,7 +132,7 @@ def _blas_threads_task(args):
 
 def test_workers_run_blas_on_one_thread():
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
-    threads = _map_realizations(_blas_threads_task, arm, realizations=2, jobs=2)
+    threads = list(_map_realizations(_blas_threads_task, arm, realizations=2, jobs=2))
     if threads[0] is None:
         pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
     assert threads == [1, 1]
@@ -184,6 +197,20 @@ def test_run_arm_validation():
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     with pytest.raises(ValidationError):
         run_arm(arm, realizations=0)
+
+
+def test_run_arm_holds_its_rows_once():
+    # rows are 8 float64 columns, 64 B a sample; the batch adds two int and two float columns
+    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=5)
+    run_arm(arm, realizations=1)  # numpy's lazy imports are not the batch's memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch, _ = run_arm(arm, realizations=200)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * len(batch) * 64
 
 
 def test_pooled_eigenvalues_deterministic():
