@@ -31,6 +31,10 @@ FIT_REL_TOL = 1e-6
 #: Geometric bins of the tail-exponent regression.
 TAIL_BINS = 10
 
+#: Values per block of the exact sample reductions (KS maxima, histogram and
+#: tail counts): their temporaries stay this long whatever the sample size.
+STAT_BLOCK = 16384
+
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -59,6 +63,12 @@ def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
         z = np.clip(np.asarray(k, dtype=float) / gamma, -(2.0**500), 2.0**500)
     out = 0.5 * (1.0 + z / np.sqrt(1.0 + z**2))
     return out if out.ndim else float(out)
+
+
+def _blocks(values: np.ndarray):
+    """(start, view) of consecutive STAT_BLOCK-long slices of a 1-D array."""
+    for start in range(0, len(values), STAT_BLOCK):
+        yield start, values[start : start + STAT_BLOCK]
 
 
 def sample_gamma_dist(gamma: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,25 +113,27 @@ class Histogram:
 def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     """Histogram samples over ascending edges.
 
-    Raises on fewer than 2 edges, non-ascending edges, or (for the
-    truncated default) an empty in-range sample set, for which the
-    density would be undefined.
+    Raises on fewer than 2 edges, non-ascending edges, a NaN sample, or
+    (for the truncated default) an empty in-range sample set, for which
+    the density would be undefined.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2:
         raise ValidationError("need at least two ascending bin edges")
     if np.any(np.diff(edges) <= 0):
         raise ValidationError("bin edges must be strictly ascending")
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples, dtype=float).ravel()
     counts = np.zeros(len(edges) - 1, dtype=int)
-    if samples.size:
-        # np.histogram closes the last bin; recover half-open semantics by
-        # counting edge-equal samples as overflow.
-        at_top = samples == edges[-1]
-        counts, _ = np.histogram(samples[~at_top], bins=edges)
-    underflow = int(np.sum(samples < edges[0]))
-    overflow = int(np.sum(samples >= edges[-1]))
+    underflow = overflow = 0
+    for _, block in _blocks(samples):
+        counts += np.histogram(block, bins=edges)[0]
+        underflow += int(np.count_nonzero(block < edges[0]))
+        overflow += int(np.count_nonzero(block >= edges[-1]))
+        # np.histogram closes the last bin; samples equal to the top edge are overflow
+        counts[-1] -= np.count_nonzero(block == edges[-1])
     total = int(counts.sum())
+    if total + underflow + overflow != len(samples):
+        raise ValidationError("cannot histogram NaN samples")
     denominator = total if truncated else total + underflow + overflow
     if denominator == 0:
         raise ValidationError("no samples to normalize the histogram density")
@@ -239,14 +251,24 @@ def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
 
 
 def ks_statistic(samples, gamma: float = 1.0) -> float:
-    """Kolmogorov-Smirnov distance between the samples and the model CDF."""
+    """Kolmogorov-Smirnov distance between the samples and the model CDF.
+
+    The sorted copy is the one full-length array; the CDF and the two
+    empirical differences are taken STAT_BLOCK values at a time.  Raises
+    on an empty sample set or a NaN sample.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = len(samples)
     if n == 0:
         raise ValidationError("cannot compute a KS distance of an empty sample set")
-    cdf = gamma_cdf(samples, gamma)
-    above = np.max(np.arange(1, n + 1) / n - cdf)
-    below = np.max(cdf - np.arange(0, n) / n)
+    if np.isnan(samples[-1]):  # the sort puts NaN last
+        raise ValidationError("cannot compute a KS distance of NaN samples")
+    above = below = -np.inf
+    for start, block in _blocks(samples):
+        cdf = gamma_cdf(block, gamma)
+        i = np.arange(start, start + len(block))
+        above = max(above, np.max((i + 1) / n - cdf))
+        below = max(below, np.max(cdf - i / n))
     return float(max(above, below))
 
 
@@ -280,8 +302,8 @@ def tail_exponent(samples, k_min: float, k_max: float):
 
     Log density regressed on log |k| over TAIL_BINS geometric bins; for
     data from the universal law the expected exponent is -3.  Requires at least
-    100 samples inside the window and a window ratio of at least 5.
-    Returns (exponent, standard_error).
+    100 samples inside the window and a window ratio of at least 5, and
+    no NaN sample.  Returns (exponent, standard_error).
     """
     if not 0 < k_min < k_max:
         raise ValidationError(f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
@@ -289,13 +311,18 @@ def tail_exponent(samples, k_min: float, k_max: float):
         raise ValidationError(
             f"window ratio must be at least 5, got {k_max / k_min:.3g}"
         )
-    magnitudes = np.abs(np.asarray(samples, dtype=float))
-    inside = magnitudes[(magnitudes >= k_min) & (magnitudes <= k_max)]
-    if len(inside) < 100:
+    edges = np.geomspace(k_min, k_max, TAIL_BINS + 1)  # ends exactly k_min and k_max
+    counts = np.zeros(TAIL_BINS, dtype=int)
+    for _, block in _blocks(np.asarray(samples, dtype=float).ravel()):
+        magnitudes = np.abs(block)
+        if np.isnan(magnitudes).any():
+            raise ValidationError("cannot fit a tail exponent to NaN samples")
+        kept = magnitudes[(magnitudes >= k_min) & (magnitudes <= k_max)]
+        counts += np.histogram(kept, bins=edges)[0]
+    inside = int(counts.sum())
+    if inside < 100:
         raise ValidationError(
-            f"only {len(inside)} samples inside [{k_min}, {k_max}]; need at least 100"
+            f"only {inside} samples inside [{k_min}, {k_max}]; need at least 100"
         )
-    edges = np.geomspace(k_min, k_max, TAIL_BINS + 1)
-    counts, _ = np.histogram(inside, bins=edges)
-    density = counts / (len(inside) * np.diff(edges))
+    density = counts / (inside * np.diff(edges))
     return loglog_slope(edges, density)

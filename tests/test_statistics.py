@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,7 @@ from levelflow import (
     tail_exponent,
     universal_pdf,
 )
+from levelflow.statistics import STAT_BLOCK
 
 
 def exact_table(gamma: float = 1.0, edges=None) -> Histogram:
@@ -255,3 +258,113 @@ def test_tail_exponent_validation():
         tail_exponent(samples, 30.0, 300.0)  # not enough tail samples
     with pytest.raises(ValidationError):
         tail_exponent(samples, -1.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# blocked reductions: the same bits as the whole-array formulas, bounded memory
+
+
+def whole_ks(samples, gamma):
+    """The KS distance over the whole sorted array at once."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    cdf = gamma_cdf(samples, gamma)
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+
+def whole_histogram(samples, edges):
+    """(counts, underflow, overflow) from whole-array masks and one np.histogram."""
+    samples = np.asarray(samples, dtype=float)
+    counts, _ = np.histogram(samples[samples != edges[-1]], bins=edges)
+    return counts, int(np.sum(samples < edges[0])), int(np.sum(samples >= edges[-1]))
+
+
+def tied_sample(n, seed):
+    """n values of P(K; 0.8), a third of them rounded to ties, with -inf and +inf past n = 2."""
+    samples = sample_gamma_dist(0.8, n, child_rng(seed, n))
+    samples[: n // 3] = np.round(samples[: n // 3], 1)
+    if n > 2:
+        samples[[1, n // 2]] = [np.inf, -np.inf]
+    return samples
+
+
+@pytest.mark.parametrize(
+    "n", [1, STAT_BLOCK - 1, STAT_BLOCK, STAT_BLOCK + 1, 3 * STAT_BLOCK + 7]
+)
+def test_ks_statistic_blocks_are_exact(n):
+    samples = tied_sample(n, 41)
+    for gamma in (0.8, 1.0, 2.5):
+        assert ks_statistic(samples, gamma) == whole_ks(samples, gamma)
+
+
+def test_build_histogram_blocks_are_exact():
+    edges = np.linspace(-5.0, 5.0, 42)
+    samples = tied_sample(3 * STAT_BLOCK + 7, 42)
+    # samples at both outer edges and on inner edges, out of range, and duplicates
+    samples[5:3 * STAT_BLOCK:STAT_BLOCK // 4] = edges[-1]
+    samples[6:3 * STAT_BLOCK:STAT_BLOCK // 3] = edges[0]
+    samples[7:3 * STAT_BLOCK:STAT_BLOCK // 5] = edges[20]
+    samples[8:3 * STAT_BLOCK:STAT_BLOCK // 6] = 17.0
+    counts, underflow, overflow = whole_histogram(samples, edges)
+    assert counts[-1] > 0 and underflow > 0 and overflow > 0
+    for truncated in (True, False):
+        hist = build_histogram(samples, edges, truncated=truncated)
+        assert hist.counts.tolist() == counts.tolist()
+        assert (hist.total, hist.underflow, hist.overflow) == (
+            int(counts.sum()),
+            underflow,
+            overflow,
+        )
+        denominator = hist.total if truncated else len(samples)
+        assert hist.density.tobytes() == (counts / (denominator * np.diff(edges))).tobytes()
+
+
+def test_tail_exponent_blocks_are_exact():
+    samples = tied_sample(3 * STAT_BLOCK + 7, 43)
+    samples[::STAT_BLOCK // 2] = 3.0  # on the window's ends
+    samples[1::STAT_BLOCK // 2] = 30.0
+    magnitudes = np.abs(samples)
+    inside = magnitudes[(magnitudes >= 3.0) & (magnitudes <= 30.0)]
+    edges = np.geomspace(3.0, 30.0, 11)
+    density = np.histogram(inside, bins=edges)[0] / (len(inside) * np.diff(edges))
+    assert tail_exponent(samples, 3.0, 30.0) == loglog_slope(edges, density)
+
+
+def test_nan_samples_are_refused():
+    with pytest.raises(ValidationError, match="NaN"):
+        ks_statistic([np.nan, 1.0, 2.0], 1.0)
+    with pytest.raises(ValidationError, match="NaN"):
+        build_histogram([np.nan, 0.5], [0.0, 1.0])
+    with pytest.raises(ValidationError, match="NaN"):
+        build_histogram([np.nan, 0.5, 2.0], [0.0, 1.0], truncated=False)
+    samples = sample_gamma_dist(1.0, 100000, child_rng(2718, 2))
+    samples[STAT_BLOCK + 3] = np.nan
+    with pytest.raises(ValidationError, match="NaN"):
+        tail_exponent(samples, 3.0, 30.0)
+
+
+def test_infinite_samples_keep_their_meaning():
+    # CDF exactly 0 and 1 in the KS distance, underflow and overflow in a histogram
+    assert ks_statistic([-np.inf, np.inf], 1.0) == 0.5
+    assert ks_statistic([np.inf], 1.0) == 1.0
+    hist = build_histogram([-np.inf, np.inf, 0.5, 1.0], [0.0, 1.0])
+    assert (hist.total, hist.underflow, hist.overflow) == (1, 1, 2)
+
+
+def traced_peak(call):
+    """tracemalloc peak of one call, in bytes, after a warm-up call."""
+    call()  # numpy's lazy imports are not the call's memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_reductions_hold_one_sorted_copy_at_most():
+    samples = sample_gamma_dist(0.8, 400_000, child_rng(44, 0))
+    edges = np.linspace(-5.0, 5.0, 42)
+    assert traced_peak(lambda: ks_statistic(samples, 0.8)) <= samples.nbytes + 2**20
+    assert traced_peak(lambda: build_histogram(samples, edges, truncated=False)) <= 2**20
