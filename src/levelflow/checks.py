@@ -8,22 +8,18 @@
 with a fixed-step classical Runge-Kutta scheme, and
 :func:`rotation_frame_check` compares the rotated-frame spectrum with
 the direct one.  They serve tests and diagnostics; production statistics
-always use :func:`levelflow.dynamics.spectral_frame`.
+always use :func:`levelflow.dynamics.spectral_frame`.  The integrator
+hands its final spectrum and P to :func:`levelflow.dynamics.frame_from_p`,
+so velocities, curvature sums and the degeneracy rule are the ones
+production frames use; nothing here builds a frame of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import (
-    RotatingPair,
-    SpectralFrame,
-    _local_gaps,
-    curvature_sums,
-    degeneracy_tolerance,
-    hamiltonian_at,
-    spectral_frame,
-)
+from .dynamics import (RotatingPair, SpectralFrame, _local_gaps, frame_from_p, hamiltonian_at,
+                       spectral_frame)
 from .errors import DegenerateSpectrumError, StencilCrossingError, ValidationError
 
 
@@ -66,20 +62,15 @@ def _motion_rhs(energies: np.ndarray, p: np.ndarray):
     return np.diag(p).copy(), dp
 
 
-def integrate_motion(
-    pair: RotatingPair,
-    t0: float,
-    t1: float,
-    steps: int,
-    gap_floor: float | None = None,
-) -> SpectralFrame:
+def integrate_motion(pair: RotatingPair, t0: float, t1: float, steps: int) -> SpectralFrame:
     """Propagate the coupled (E, P) equations of motion from t0 to t1.
 
     Fixed-step classical fourth-order Runge-Kutta; a diagnostic
     cross-check of the formalism, not a production path, so no adaptive
     stepping.  Aborts with :class:`DegenerateSpectrumError` if any gap
-    falls below gap_floor (default 1e-9 of the initial spectral span)
-    while integrating.
+    falls below 1e-9 of the initial spectral span while integrating.  The
+    final frame comes from :func:`levelflow.dynamics.frame_from_p`, as
+    every frame does.
     """
     if steps < 1:
         raise ValidationError(f"step count must be >= 1, got {steps}")
@@ -92,29 +83,18 @@ def integrate_motion(
         return start
     energies = start.energies.copy()
     p = start.p_matrix.copy()
-    span = energies[-1] - energies[0]
-    if gap_floor is None:
-        gap_floor = max(1e-9 * span, np.finfo(float).tiny)
+    floor = max(1e-9 * (energies[-1] - energies[0]), np.finfo(float).tiny)
     h = (t1 - t0) / steps
     for _ in range(steps):
-        if np.min(np.diff(energies)) < gap_floor:
-            raise DegenerateSpectrumError(
-                f"gap below floor {gap_floor:.3g} during integration"
-            )
+        if np.min(np.diff(energies)) < floor:
+            raise DegenerateSpectrumError(f"gap below floor {floor:.3g} during integration")
         k1e, k1p = _motion_rhs(energies, p)
         k2e, k2p = _motion_rhs(energies + 0.5 * h * k1e, p + 0.5 * h * k1p)
         k3e, k3p = _motion_rhs(energies + 0.5 * h * k2e, p + 0.5 * h * k2p)
         k4e, k4p = _motion_rhs(energies + h * k3e, p + h * k3p)
         energies = energies + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    half_width = 0.5 * (energies[-1] - energies[0])
-    return SpectralFrame(
-        energies=energies,
-        velocities=np.diag(p).copy(),
-        curvatures=curvature_sums(energies, p),
-        p_matrix=p,
-        degenerate_mask=_local_gaps(energies) < degeneracy_tolerance(half_width),
-    )
+    return frame_from_p(energies, p)
 
 
 def rotation_frame_check(pair: RotatingPair, t: float) -> float:

@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -39,7 +40,9 @@ from .statistics import (
 )
 
 DEFAULT_SWEEP = (0.0, 0.32, 1.0, 3.2, 10.0)
-DEFAULT_CURVATURE_BINS = "41:-5:5"
+#: The k range of sweep and fit histograms; a bare --bins COUNT spans it too.
+CURVATURE_RANGE = (-5.0, 5.0)
+DEFAULT_CURVATURE_BINS = "41:%g:%g" % CURVATURE_RANGE
 FORMATS = ("csv", "json")
 
 #: How a run is executed, not what it computes: kept out of file headers.
@@ -85,10 +88,10 @@ class RunConfig:
             raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
         if self.jobs == 0:
             self.jobs = os.cpu_count() or 1
-        labels = [f"{eps:g}" for eps in self.epsilon]  # as in the per-arm file names
-        if len(set(labels)) < len(labels):
+        if len(set(map(arm_label, self.epsilon))) < len(self.epsilon):
+            shown = ", ".join(f"{eps:g}" for eps in self.epsilon)
             raise ValidationError(f"epsilon values name output files, so they must differ "
-                                  f"to 6 significant digits; got {', '.join(labels)}")
+                                  f"to 6 significant digits; got {shown}")
         check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
         for eps_index in range(len(self.epsilon)):
             self.arm(eps_index)  # ArmParams checks every arm value
@@ -136,7 +139,7 @@ def dumps_json(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         items = ", ".join(f"{dumps_json(str(k))}: {dumps_json(v)}" for k, v in value.items())
         return "{" + items + "}"
@@ -227,11 +230,14 @@ def parse_bin_spec(spec: str, default_range=None):
 # commands
 
 
+def arm_label(eps: float) -> str:
+    """The label of an epsilon arm in file names and overlay columns, 'eps' + eps to 6 digits."""
+    return f"eps{eps:g}"
+
+
 def _eps_path(out: str, eps: float, multi: bool) -> Path:
     path = Path(out)
-    if not multi:
-        return path
-    return path.with_name(f"{path.stem}_eps{eps:g}{path.suffix}")
+    return path.with_name(f"{path.stem}_{arm_label(eps)}{path.suffix}") if multi else path
 
 
 SAMPLE_COLUMNS = ("realization", "level", "t", "E", "Edot", "Eddot", "xdot", "xddot", "K", "k")
@@ -249,6 +255,13 @@ def _print_arm(summary: dict):
     )
 
 
+def _run_arm(config: RunConfig, i: int):
+    """(batch, summary) of arm i; the summary holds epsilon as given, not sqrt(n) * lambda."""
+    arm = config.arm(i)
+    batch, info = run_arm(arm, config.realizations, config.jobs)
+    return batch, {**arm_summary(arm, batch, info), "epsilon": config.epsilon[i]}  # same key order
+
+
 def cmd_simulate(config: RunConfig) -> int:
     """Sample curvature batches for each epsilon and write sample tables."""
     if not config.epsilon:
@@ -256,9 +269,7 @@ def cmd_simulate(config: RunConfig) -> int:
     multi = len(config.epsilon) > 1
     out = config.out or f"samples.{config.format}"
     for i, eps in enumerate(config.epsilon):
-        arm = config.arm(i)
-        batch, info = run_arm(arm, config.realizations, config.jobs)
-        summary = arm_summary(arm, batch, info)
+        batch, summary = _run_arm(config, i)
         path = _eps_path(out, eps, multi)
         write_table(
             path,
@@ -319,25 +330,23 @@ def cmd_sweep(config: RunConfig) -> int:
     """
     if len(config.epsilon) < 2:
         raise ValidationError("sweep needs at least two --epsilon values; use simulate for one")
-    edges = parse_bin_spec(config.bins, default_range=(-5.0, 5.0))
+    edges = parse_bin_spec(config.bins, default_range=CURVATURE_RANGE)
     summaries, hists = [], []
     for i in range(len(config.epsilon)):
-        arm = config.arm(i)
-        batch, info = run_arm(arm, config.realizations, config.jobs)
-        summaries.append(arm_summary(arm, batch, info))
+        batch, summary = _run_arm(config, i)
+        summaries.append(summary)
         hists.append(build_histogram(batch.normalized, edges))
         del batch  # released before the next arm runs
         _print_arm(summaries[-1])
     out_dir = Path(config.out or "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     reference = model_bin_density(edges, 1.0)
-    overlay = [centers, reference]
+    overlay = [hists[0].centers, reference]  # every arm shares the edges
     overlay_columns = ["bin_center", "universal_density"]
     for i, (eps, summary, hist) in enumerate(zip(config.epsilon, summaries, hists)):
         rows = [edges[:-1], edges[1:], hist.counts, hist.density, reference]
         write_table(
-            out_dir / f"hist_eps{eps:g}.{config.format}",
+            out_dir / f"hist_{arm_label(eps)}.{config.format}",
             config.format,
             "sweep",
             config.header_dict(i),
@@ -346,7 +355,7 @@ def cmd_sweep(config: RunConfig) -> int:
             summary=summary,
         )
         overlay.append(hist.density)
-        overlay_columns.append(f"density_eps{eps:g}")
+        overlay_columns.append(f"density_{arm_label(eps)}")
     write_table(
         out_dir / f"overlay.{config.format}",
         config.format,
@@ -439,25 +448,22 @@ def _histogram_from_pairs(pairs) -> Histogram:
         raise ValidationError("binned input positions must be uniformly spaced")
     width = float(np.mean(steps))
     edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
-    return Histogram(
-        edges=edges,
-        counts=np.zeros(len(centers), dtype=int),
-        total=0,
-        underflow=0,
-        overflow=0,
-        density=density,
-    )
+    return Histogram(edges, np.zeros(len(centers), dtype=int), 0, 0, 0, density)
 
 
 def cmd_fit(args) -> int:
     """Fit the one-parameter curvature law to an external data file."""
+    # bytes that are not UTF-8 reach args.input as lone surrogates, which UTF-8 cannot write
+    if any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in args.input):
+        raise ValidationError(f"input name {args.input!r} cannot stand on a header line: "
+                              "it holds a line break or bytes that are not UTF-8")
     kind = args.input_kind
     data = _read_fit_input(args.input, kind)
     if kind == "samples":
         if len(data) < 10:
             raise ValidationError(f"only {len(data)} samples in {args.input}; need at least 10")
         samples = data
-        edges = parse_bin_spec(args.bins, default_range=(-5.0, 5.0))
+        edges = parse_bin_spec(args.bins, default_range=CURVATURE_RANGE)
         # Non-truncated normalization keeps the binned density an unbiased
         # estimate of the underlying density on the range, which the
         # least-squares fit needs to recover gamma without tail bias.
@@ -606,7 +612,7 @@ def main(argv=None) -> int:
         if args.command == "density":
             return cmd_density(config)
         return cmd_sweep(config)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:  # numpy names the allocation it refused
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LevelflowError as exc:

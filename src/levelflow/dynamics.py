@@ -8,7 +8,9 @@ form
     Eddot_k = -E_k + sum_{m != k} 2 P_km^2 / (E_k - E_m).
 
 :func:`spectral_frame` evaluates these directly from one
-diagonalization.  Independent cross-checks of the closed form live in
+diagonalization, and :func:`frame_from_p`, the one place that turns a
+spectrum and its P into a frame, evaluates them for any other source of
+P.  Independent cross-checks of the closed form live in
 :mod:`levelflow.checks`.
 """
 
@@ -122,38 +124,41 @@ def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray, rows=None) -> np.
     return -energies[rows] + 2.0 * np.sum(p_matrix * p_matrix / diff, axis=1)
 
 
+def frame_from_p(energies: np.ndarray, p: np.ndarray, degeneracy_tol: float | None = None,
+                 rows=None) -> SpectralFrame:
+    """Frame of an ascending spectrum and its P = U^T Hdot U.
+
+    degeneracy_tol defaults to :func:`degeneracy_tolerance` of the half-spread
+    of the spectrum (about the semicircle radius for GOE-scaled input).
+    rows, if given, are the levels whose velocities and curvatures are
+    evaluated; the others hold nan.
+    """
+    if degeneracy_tol is None:
+        degeneracy_tol = degeneracy_tolerance(0.5 * (energies[-1] - energies[0]))
+    elif not degeneracy_tol > 0:
+        raise ValidationError(f"degeneracy tolerance must be positive, got {degeneracy_tol}")
+    picked = np.arange(len(energies)) if rows is None else np.asarray(rows, dtype=int)
+    velocities, curvatures = np.full((2, len(energies)), np.nan)
+    velocities[picked] = p[picked, picked]
+    curvatures[picked] = curvature_sums(energies, p[picked], picked)
+    mask = _local_gaps(energies) < degeneracy_tol
+    return SpectralFrame(energies, velocities, curvatures, p, mask)
+
+
 def spectral_frame(
     pair: RotatingPair,
     t: float,
     degeneracy_tol: float | None = None,
     rows=None,
 ) -> SpectralFrame:
-    """Diagonalize H(t) and evaluate level velocities and curvatures.
+    """Diagonalize H(t) and evaluate level velocities and curvatures (see
+    :func:`frame_from_p` for degeneracy_tol and rows).
 
-    degeneracy_tol defaults to :func:`degeneracy_tolerance` of the half-spread
-    of the computed spectrum (about the semicircle radius for GOE-scaled
-    input).  rows, if given, are the levels whose velocities and curvatures
-    are wanted.
     P itself is formed in full: BLAS tiles and threads a product's rows
     by its shape, so selected rows alone can differ in the last bit.
     """
     energies, u = _eigh(hamiltonian_at(pair, t), f"H(t) at t={t}")
-    if degeneracy_tol is None:
-        degeneracy_tol = degeneracy_tolerance(0.5 * (energies[-1] - energies[0]))
-    elif not degeneracy_tol > 0:
-        raise ValidationError(f"degeneracy tolerance must be positive, got {degeneracy_tol}")
-    p = u.T @ hamiltonian_rate(pair, t) @ u
-    picked = np.arange(len(energies)) if rows is None else np.asarray(rows, dtype=int)
-    velocities, curvatures = np.full((2, len(energies)), np.nan)
-    velocities[picked] = p[picked, picked]
-    curvatures[picked] = curvature_sums(energies, p[picked], picked)
-    return SpectralFrame(
-        energies=energies,
-        velocities=velocities,
-        curvatures=curvatures,
-        p_matrix=p,
-        degenerate_mask=_local_gaps(energies) < degeneracy_tol,
-    )
+    return frame_from_p(energies, u.T @ hamiltonian_rate(pair, t) @ u, degeneracy_tol, rows)
 
 
 def spectral_frame_blocks(

@@ -39,10 +39,8 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def universal_pdf(k) -> np.ndarray | float:
-    """Universal curvature density 1 / (2 (1 + k^2)^(3/2))."""
-    k = np.asarray(k, dtype=float)
-    out = 0.5 / (1.0 + k**2) ** 1.5
-    return out if out.ndim else float(out)
+    """Universal curvature density 1 / (2 (1 + k^2)^(3/2)): :func:`gamma_pdf` at gamma = 1."""
+    return gamma_pdf(k, 1.0)
 
 
 def gamma_pdf(k, gamma: float) -> np.ndarray | float:
@@ -87,10 +85,10 @@ class Histogram:
 
     total counts only the in-range samples; underflow/overflow are kept
     separately.  With truncated normalization (the default) the density
-    integrates to 1 over the binned range; with truncated=False the
-    denominator includes the out-of-range tallies, making the density an
-    unbiased estimate of the underlying density on the range, which is
-    what distribution fitting needs.
+    integrates to 1 over the binned range; with truncated=False its
+    denominator, norm_count, includes the out-of-range tallies, making
+    the density an unbiased estimate of the underlying density on the
+    range, which is what distribution fitting needs.
     """
 
     edges: np.ndarray
@@ -100,6 +98,11 @@ class Histogram:
     overflow: int
     density: np.ndarray
     truncated: bool = True
+
+    @property
+    def norm_count(self) -> int:
+        """The count the density is taken over: in-range only when truncated, else all."""
+        return self.total if self.truncated else self.total + self.underflow + self.overflow
 
     @property
     def widths(self) -> np.ndarray:
@@ -134,19 +137,11 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     total = int(counts.sum())
     if total + underflow + overflow != len(samples):
         raise ValidationError("cannot histogram NaN samples")
-    denominator = total if truncated else total + underflow + overflow
-    if denominator == 0:
+    hist = Histogram(edges, counts, total, underflow, overflow, None, truncated)  # density next
+    if hist.norm_count == 0:
         raise ValidationError("no samples to normalize the histogram density")
-    density = counts / (denominator * np.diff(edges))
-    return Histogram(
-        edges=edges,
-        counts=counts,
-        total=total,
-        underflow=underflow,
-        overflow=overflow,
-        density=density,
-        truncated=truncated,
-    )
+    hist.density = counts / (hist.norm_count * hist.widths)
+    return hist
 
 
 @dataclass
@@ -240,8 +235,7 @@ def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
     histogram's own normalization.  Bins expecting fewer than 1 count are
     skipped; raises if none is left.
     """
-    denominator = hist.total if hist.truncated else hist.total + hist.underflow + hist.overflow
-    expected = model_density * hist.widths * denominator
+    expected = model_density * hist.widths * hist.norm_count
     keep = expected >= 1.0
     if not np.any(keep):
         raise ValidationError("no bins with usable expected counts")

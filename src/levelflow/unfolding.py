@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SpectralFrame
-from .ensemble import DEFAULT_ALPHA, check_scale
+from .ensemble import DEFAULT_ALPHA, alpha_out_of_range, check_scale
 from .errors import ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
@@ -38,7 +38,9 @@ class DensityModel:
     """Semicircle mean-density model of the coupled ensemble.
 
     The one place that knows the density: its support, the interior
-    where levels may be unfolded, rho, its slope and its integral.
+    where levels may be unfolded, rho, its slope and its integral.  It
+    refuses a coupling lam outside [0, 1] and a radius R whose square is
+    not finite and positive; n and alpha go through :func:`check_scale`.
     """
 
     n: int
@@ -47,10 +49,14 @@ class DensityModel:
     radius: float = field(init=False)
 
     def __post_init__(self):
-        check_scale(self.n, self.alpha, self.lam)
-        object.__setattr__(
-            self, "radius", float(np.sqrt(self.n * (1.0 + self.lam**2) / (2.0 * self.alpha)))
-        )
+        check_scale(self.n, self.alpha)
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValidationError(f"coupling must lie in [0, 1], got lambda={self.lam:g} "
+                                  f"(epsilon={np.sqrt(self.n) * self.lam:g} at n={self.n})")
+        r2 = self.n * (1.0 + self.lam**2) / (2.0 * self.alpha)
+        if not 0.0 < r2 < np.inf:
+            raise alpha_out_of_range(self.n, self.alpha)
+        object.__setattr__(self, "radius", float(np.sqrt(r2)))
 
     @property
     def support(self) -> tuple[float, float]:

@@ -730,3 +730,68 @@ def test_fit_named_pipe_bad_value_names_its_line(tmp_path, bad, message):
     proc = _fit_through_fifo(tmp_path, "\n".join(lines) + "\n")
     assert proc.returncode == 1
     assert "line 3000" in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_summaries_report_the_epsilon_given(tmp_path, command):
+    # at n = 60, sqrt(n) * lambda gives back 0.99999999999999989 for 1, and misses 0.5 and 2 too
+    given = [0.5, 1.0, 2.0]
+    out = tmp_path / ("s.json" if command == "simulate" else "sw")
+    assert run([command, "--n", 60, "--epsilon", *given, "--realizations", 2, "--t-samples", 1,
+                "--seed", 1, "--format", "json", "--out", out, "--jobs", 1]) == 0
+    if command == "simulate":
+        tables = [tmp_path / f"s_eps{eps:g}.json" for eps in given]
+        sidecars = [json.loads(Path(f"{t}.summary.json").read_text()) for t in tables]
+    else:
+        tables = [out / f"hist_eps{eps:g}.json" for eps in given]
+        sidecars = json.loads((out / "summary.json").read_text())["arms"]
+    for eps, table, sidecar in zip(given, tables, sidecars):
+        payload = json.loads(table.read_text())
+        assert payload["config"]["epsilon"] == eps
+        assert payload["summary"]["epsilon"] == sidecar["epsilon"] == eps
+        assert payload["summary"]["lambda"] == lambda_from_epsilon(60, eps)
+        assert list(sidecar)[:2] == ["epsilon", "lambda"]
+
+
+def test_a_row_block_too_large_for_memory_is_one_error_line(tmp_path, capsys):
+    # 10^12 realizations ask for an 11.4 PiB row block, which no allocator grants
+    code = run(["simulate", "--n", 100, "--epsilon", 1, "--realizations", 10**12,
+                "--out", tmp_path / "s.csv", "--jobs", 1])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fit_input_named(tmp_path, name: bytes) -> str:
+    path = os.path.join(os.fsencode(tmp_path), name)
+    values = sample_gamma_dist(0.9, 2000, child_rng(5, 0))
+    with open(path, "w") as handle:
+        handle.write("\n".join(format(x, ".17g") for x in values) + "\n")
+    return os.fsdecode(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_input_name_with_a_tab_keeps_its_header_whole(tmp_path, fmt):
+    name = _fit_input_named(tmp_path, b"a\tb.txt")
+    out = tmp_path / f"curve.{fmt}"
+    assert run(["fit", "--input", name, "--out", out, "--format", fmt]) == 0
+    if fmt == "json":
+        with open(out, encoding="utf-8") as handle:
+            assert json.load(handle)["config"]["input"] == name
+    else:
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == f"# input = {name}"
+        assert lines[6] == "K,fitted_density,universal_density"
+        assert all(line.startswith("#") for line in lines[:6])
+
+
+@pytest.mark.parametrize("name", [b"a\nb.txt", b"a\rb.txt", b"bad\xff.txt"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_input_name_that_no_header_can_hold_is_refused(tmp_path, capsys, name, fmt):
+    path = _fit_input_named(tmp_path, name)
+    out = tmp_path / f"curve.{fmt}"
+    assert run(["fit", "--input", path, "--out", out, "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input name ") and err.count("\n") == 1
+    assert not out.exists()

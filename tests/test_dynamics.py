@@ -16,6 +16,8 @@ from levelflow import (
     spectral_frame_blocks,
 )
 
+from levelflow.dynamics import frame_from_p
+
 from conftest import goe_pair
 
 
@@ -234,3 +236,18 @@ def test_row_frames_equal_full_frames_on_their_rows():
     assert blocks_part.p_matrix is None and blocks_part.dim == 50
     assert np.array_equal(blocks_part.curvatures[rows], blocks_full.curvatures[rows])
     assert np.all(np.isnan(blocks_part.curvatures[others]))
+
+
+def test_every_frame_comes_from_one_builder():
+    pair = goe_pair(12, seed=43)
+    direct = spectral_frame(pair, 0.3)
+    energies, u = np.linalg.eigh(hamiltonian_at(pair, 0.3))
+    built = frame_from_p(energies, u.T @ hamiltonian_rate(pair, 0.3) @ u)
+    integrated = integrate_motion(pair, 0.0, 0.3, 200)
+    rebuilt = frame_from_p(integrated.energies, integrated.p_matrix)
+    for name in ("energies", "velocities", "curvatures", "p_matrix", "degenerate_mask"):
+        assert np.array_equal(getattr(direct, name), getattr(built, name)), name
+        assert np.array_equal(getattr(integrated, name), getattr(rebuilt, name)), name
+    np.testing.assert_array_equal(integrated.velocities, np.diag(integrated.p_matrix))
+    with pytest.raises(ValidationError):
+        frame_from_p(energies, built.p_matrix, degeneracy_tol=0.0)

@@ -14,6 +14,7 @@ from levelflow import (
     window_levels,
 )
 
+from levelflow.ensemble import check_scale
 from levelflow.unfolding import EDGE_MARGIN
 
 from conftest import goe_pair
@@ -52,6 +53,17 @@ def test_model_validation_and_radius():
         DensityModel(n=10, alpha=np.inf)
     model = DensityModel(n=100, alpha=0.5, lam=1.0)
     assert model.radius == pytest.approx(np.sqrt(200.0), rel=1e-15)
+
+
+def test_the_model_owns_the_coupling_and_radius_checks():
+    # check_scale passes what only the radius refuses: R^2 = 1e310 overflows
+    check_scale(10, 1e-309)
+    with pytest.raises(ValidationError, match=r"^alpha=1e-309 is out of range at n=10: "):
+        DensityModel(n=10, alpha=1e-309)
+    with pytest.raises(ValidationError, match=r"^alpha=1e\+308 is out of range at n=10: "):
+        check_scale(10, 1e308)  # the entry scale sqrt(8 alpha) overflows
+    with pytest.raises(ValidationError, match=r"^coupling must lie in \[0, 1\], got lambda=1.5 "):
+        DensityModel(n=10, lam=1.5)
 
 
 def test_support_and_interior():
