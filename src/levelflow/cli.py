@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import array
 import json
 import math
 import os
@@ -196,7 +197,8 @@ def check_bin_spec(spec: str):
     """(count, range) of a bin spec 'COUNT' or 'COUNT:LO:HI', range None for a bare COUNT;
     the syntax, the count and a given range are checked here only."""
     parts = spec.split(":")
-    if len(parts) not in (1, 3):
+    # int and float would strip the whitespace, which then reaches the headers
+    if len(parts) not in (1, 3) or any(part != part.strip() for part in parts):
         raise ValidationError(f"cannot parse bin spec {spec!r}; use COUNT or COUNT:LO:HI")
     try:
         count = int(parts[0])
@@ -256,10 +258,10 @@ def _print_arm(summary: dict):
 
 
 def _run_arm(config: RunConfig, i: int):
-    """(batch, summary) of arm i; the summary holds epsilon as given, not sqrt(n) * lambda."""
+    """(batch, summary) of arm i; the summary starts with epsilon as given."""
     arm = config.arm(i)
     batch, info = run_arm(arm, config.realizations, config.jobs)
-    return batch, {**arm_summary(arm, batch, info), "epsilon": config.epsilon[i]}  # same key order
+    return batch, {"epsilon": config.epsilon[i], **arm_summary(arm, batch, info)}
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -409,11 +411,12 @@ def _read_fit_input(path: str, kind: str) -> np.ndarray:
 def _read_fit_input_by_line(handle, kind: str) -> np.ndarray:
     """The line-by-line reader of an open fit input: whole-line `#` comments
     and blank lines are skipped, fields split at whitespace or commas, each
-    parsed by ``float``; a refused file raises a ValidationError naming its
-    first bad line."""
+    parsed by ``float`` and collected as float64 in one growing buffer, which
+    the returned array shares; a refused file raises a ValidationError naming
+    its first bad line."""
     path = handle.name
     width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
-    values = []
+    values = array.array("d")
     for lineno, raw in enumerate(handle, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -427,8 +430,9 @@ def _read_fit_input_by_line(handle, kind: str) -> np.ndarray:
                                   f"got {len(numbers)} fields")
         if not all(map(math.isfinite, numbers)):
             raise ValidationError(f"{path}: line {lineno}: non-finite value")
-        values.append(numbers[0] if width == 1 else numbers)
-    return np.asarray(values, dtype=float)
+        values.extend(numbers)
+    data = np.frombuffer(values, dtype=float)
+    return data.reshape(-1, 2) if width == 2 and len(data) else data
 
 
 def _histogram_from_pairs(pairs) -> Histogram:
@@ -463,6 +467,7 @@ def cmd_fit(args) -> int:
         if len(data) < 10:
             raise ValidationError(f"only {len(data)} samples in {args.input}; need at least 10")
         samples = data
+        samples.sort()  # in place: the histogram and fit ignore order, and KS reads it sorted
         edges = parse_bin_spec(args.bins, default_range=CURVATURE_RANGE)
         # Non-truncated normalization keeps the binned density an unbiased
         # estimate of the underlying density on the range, which the

@@ -214,10 +214,12 @@ def pooled_eigenvalues(arm: ArmParams, realizations: int, jobs: int = 1) -> np.n
 
 
 def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:
-    """Per-arm statistics reported next to the sample files."""
+    """Per-arm statistics reported next to the sample files.
+
+    The coupling is reported as lambda only: the CLI puts the epsilon it
+    was given in front, which sqrt(n) * lambda need not round back to."""
     k = batch.normalized
     summary = {
-        "epsilon": arm.epsilon,
         "lambda": arm.lam,
         "per_block": arm.per_block,
         "n_samples": len(batch),

@@ -14,8 +14,11 @@ map by the chain rule, rescaled against the batch velocity moments
     K = (xddot - (<xdot xddot>/<xdot^2>) xdot) / (pi <xdot^2>),
 
 and finally renormalized to k = K / <|K|> so that mean |k| is exactly 1.
-The K rescaling is invariant under any uniform rescaling of rho, which
-is why one shared density model can serve block mode as well.
+Under a uniform rescaling rho -> c rho, xdot and xddot scale by c, so K
+scales by 1/c and only k is invariant.  That is why one shared density
+model can serve block mode: the decoupled arm unfolds each block with
+the pooled density of both blocks, at m = n/2 twice the block's own, so
+its <|K|> is 1/2 while its k still follows the universal law.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -399,6 +400,69 @@ def test_fit_with_a_huge_sample_keeps_its_ks_distance(tmp_path, capsys, recwarn)
     assert len(recwarn) == 0
 
 
+def _write_samples(path, samples, header=""):
+    path.write_text(header + "\n".join(map(repr, samples.tolist())) + "\n")
+
+
+@pytest.mark.parametrize("header", ["", "# K samples\n"])  # the one-pass reader, the line loop
+def test_fit_gives_the_same_from_shuffled_and_sorted_samples(tmp_path, capsys, header):
+    samples = sample_gamma_dist(0.9, 20000, child_rng(48, 0))
+    outputs = []
+    for name, values in (("shuffled", samples), ("sorted", np.sort(samples))):
+        data, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        _write_samples(data, values, header)
+        assert run(["fit", "--input", data, "--out", out]) == 0
+        table = [line for line in out.read_text().splitlines() if not line.startswith("# input = ")]
+        stdout = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("wrote ")]
+        outputs.append((table, stdout))
+    assert outputs[0] == outputs[1]
+
+
+def test_fit_holds_its_samples_once(tmp_path, monkeypatch, capsys):
+    """Past the one-pass read, fit adds less than 1 MiB to the samples: they are sorted in place."""
+    data = tmp_path / "K.txt"
+    _write_samples(data, sample_gamma_dist(0.8, 400_000, child_rng(47, 0)))
+    assert run(["fit", "--input", data, "--out", tmp_path / "warm.csv"]) == 0  # lazy imports
+    read, held = cli._read_fit_input, []
+
+    def read_then_reset_peak(*args):
+        samples = read(*args)
+        held.append(samples.nbytes)
+        tracemalloc.reset_peak()
+        return samples
+
+    monkeypatch.setattr(cli, "_read_fit_input", read_then_reset_peak)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(["fit", "--input", data, "--out", tmp_path / "curve.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held == [400_000 * 8]
+    assert peak <= held[0] + 2**20
+
+
+def test_line_reader_collects_float64_values(tmp_path):
+    samples = sample_gamma_dist(0.8, 400_000, child_rng(49, 0))
+    data = tmp_path / "K.txt"
+    _write_samples(data, samples, "# K samples\n")
+
+    def read():
+        with cli._open_text(str(data)) as handle:
+            return cli._read_fit_input_by_line(handle, "samples")
+
+    assert read().tobytes() == samples.tobytes()
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samples.nbytes + 2**20  # a list of Python floats takes about 5x
+
+
 def test_fit_missing_file_is_io_error(tmp_path):
     assert run(["fit", "--input", tmp_path / "nope.txt"]) == 3
 
@@ -440,6 +504,9 @@ BAD_BIN_SPECS = {
     "garbage": "cannot parse bin spec 'garbage'; use COUNT or COUNT:LO:HI",
     "a:b:c": "cannot parse bin spec 'a:b:c'; use COUNT or COUNT:LO:HI",
     "1:2": "cannot parse bin spec '1:2'; use COUNT or COUNT:LO:HI",
+    "41\n": "cannot parse bin spec '41\\n'; use COUNT or COUNT:LO:HI",
+    " 41:-5:5": "cannot parse bin spec ' 41:-5:5'; use COUNT or COUNT:LO:HI",
+    "41:-5: 5": "cannot parse bin spec '41:-5: 5'; use COUNT or COUNT:LO:HI",
     "0": "bin count must be >= 1, got 0",
     "0:1:2": "bin count must be >= 1, got 0",
     "10:5:-5": "bin range must be finite and increasing, got [5.0, -5.0]",

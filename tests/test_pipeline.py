@@ -106,6 +106,7 @@ def test_run_arm_batch_and_summary():
     assert len(batch) == 4 * 2 * 15
     assert abs(np.mean(np.abs(batch.normalized)) - 1.0) < 1e-12
     summary = arm_summary(arm, batch, info)
+    assert list(summary)[0] == "lambda"  # the epsilon as given is the caller's to report
     assert summary["n_samples"] == len(batch)
     assert 0.0 < summary["ks_vs_universal"] < 1.0
     assert summary["tail_exponent"] is None  # too few samples in [3, 30]

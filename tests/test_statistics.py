@@ -334,6 +334,8 @@ def test_nan_samples_are_refused():
     with pytest.raises(ValidationError, match="NaN"):
         ks_statistic([np.nan, 1.0, 2.0], 1.0)
     with pytest.raises(ValidationError, match="NaN"):
+        ks_statistic([np.nan], 1.0)  # one value is ascending; the NaN is still its last
+    with pytest.raises(ValidationError, match="NaN"):
         build_histogram([np.nan, 0.5], [0.0, 1.0])
     with pytest.raises(ValidationError, match="NaN"):
         build_histogram([np.nan, 0.5, 2.0], [0.0, 1.0], truncated=False)
@@ -368,3 +370,28 @@ def test_sample_reductions_hold_one_sorted_copy_at_most():
     edges = np.linspace(-5.0, 5.0, 42)
     assert traced_peak(lambda: ks_statistic(samples, 0.8)) <= samples.nbytes + 2**20
     assert traced_peak(lambda: build_histogram(samples, edges, truncated=False)) <= 2**20
+
+
+def test_ks_statistic_reads_an_ascending_array_where_it_lies():
+    shuffled = sample_gamma_dist(0.8, 400_000, child_rng(45, 0))
+    shuffled[: 1000] = np.round(shuffled[: 1000], 1)  # ties, which the order check must pass
+    ascending = np.sort(shuffled)
+    kept = shuffled.copy()
+    assert traced_peak(lambda: ks_statistic(ascending, 0.8)) <= 2**20  # no sorted copy
+    for gamma in (0.8, 1.0):
+        assert ks_statistic(ascending, gamma) == ks_statistic(shuffled, gamma)
+    assert shuffled.tobytes() == kept.tobytes()  # the caller's unsorted array is not sorted
+
+
+def test_ks_statistic_sorts_blocks_that_are_ascending_only_inside():
+    ascending = np.sort(tied_sample(2 * STAT_BLOCK, 47))
+    swapped = np.concatenate([ascending[STAT_BLOCK:], ascending[:STAT_BLOCK]])  # falls between
+    assert ks_statistic(swapped, 0.8) == whole_ks(swapped, 0.8) == ks_statistic(ascending, 0.8)
+
+
+@pytest.mark.parametrize("where", [0, STAT_BLOCK - 1, STAT_BLOCK, STAT_BLOCK + 1, -1])
+def test_ks_statistic_refuses_a_nan_anywhere_in_an_ascending_array(where):
+    samples = np.sort(sample_gamma_dist(1.0, 3 * STAT_BLOCK, child_rng(46, 0)))
+    samples[where] = np.nan
+    with pytest.raises(ValidationError, match="NaN"):
+        ks_statistic(samples, 1.0)
