@@ -626,11 +626,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-def console_main():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

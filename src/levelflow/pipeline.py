@@ -152,8 +152,10 @@ def _eigenvalues_task(args):
 def single_threaded_blas():
     """Run numpy's bundled OpenBLAS on one thread in this process, where it allows.
 
-    The CLI calls it at start, so `--jobs` is the only source of parallelism,
-    and each pool worker calls it as its initializer: workers started by
+    The `levelflow` command pins BLAS before numpy loads (`__main__`), so no
+    thread pool is started. Where numpy is already loaded, this call lowers the
+    count but leaves the started threads: `cli.main` makes it for in-process
+    callers, and each pool worker as its initializer, since workers started by
     forkserver or spawn do not inherit the count."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:

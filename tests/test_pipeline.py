@@ -1,4 +1,5 @@
 import ctypes
+import importlib
 import json
 import os
 import subprocess
@@ -192,6 +193,73 @@ def test_cli_curvatures_match_unpinned_blas_bit_for_bit(tmp_path):
     unpinned = np.load(tmp_path / "K.npy")
     assert len(unpinned) > 100
     assert pinned.tobytes() == unpinned.tobytes()
+
+
+def test_entry_point_starts_no_blas_pool(tmp_path):
+    # with no thread count in the environment, OpenBLAS would start one thread per core at load
+    if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs /proc/self/task and two cores to tell a pool from one thread")
+    if _blas_threads_task(None) is None:
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+    code, tasks, threads = _child(
+        "import json, os, runpy, sys\n"
+        "sys.argv = ['levelflow', 'simulate', '--n', '20', '--epsilon', '1', '--realizations',\n"
+        f"            '2', '--out', {str(tmp_path / 's.csv')!r}, '--jobs', '1']\n"
+        "try:\n"
+        "    runpy.run_module('levelflow', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "tasks = len(os.listdir('/proc/self/task'))\n"
+        "from test_pipeline import _blas_threads_task\n"
+        "print(json.dumps([code, tasks, _blas_threads_task(None)]))\n",
+        env_drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
+    )
+    assert code == 0
+    assert tasks == 1
+    assert threads == 1
+
+
+#: The package's exported names, by the module that defines each.
+EXPORTS = {
+    "checks": "curvature_fd_oracle integrate_motion rotation_frame_check",
+    "dynamics": "RotatingPair SpectralFrame curvature_sums hamiltonian_at hamiltonian_rate "
+                "spectral_frame spectral_frame_blocks",
+    "ensemble": "DEFAULT_ALPHA child_rng lambda_from_epsilon sample_coupled sample_goe",
+    "errors": "DegenerateSpectrumError EigensolverError LevelflowError NumericalError "
+              "StencilCrossingError ValidationError",
+    "pipeline": "ArmParams arm_summary pooled_eigenvalues run_arm",
+    "statistics": "DistributionFit Histogram build_histogram fit_gamma gamma_cdf gamma_pdf "
+                  "ks_statistic loglog_slope model_bin_density reduced_chi_square "
+                  "sample_gamma_dist tail_exponent universal_pdf",
+    "unfolding": "CurvatureBatch DensityModel normalize_batch rescale_batch select_levels "
+                 "unfold_dynamics window_levels",
+}
+
+
+def test_package_exports_the_objects_of_their_modules():
+    assert set(levelflow.__all__) == {n for names in EXPORTS.values() for n in names.split()}
+    for module, names in EXPORTS.items():
+        defined = importlib.import_module(f"levelflow.{module}")
+        for name in names.split():
+            assert getattr(levelflow, name) is getattr(defined, name), name
+    assert set(levelflow.__all__) <= set(dir(levelflow))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        levelflow.no_such_name
+
+
+def test_import_levelflow_loads_no_numpy():
+    numpy_loaded, cli_name, star = _child(
+        "import json, sys\n"
+        "import levelflow\n"
+        "numpy_loaded = 'numpy' in sys.modules\n"
+        "from levelflow import cli\n"
+        "names = {}\n"
+        "exec('from levelflow import *', names)\n"
+        "print(json.dumps([numpy_loaded, cli.__name__, sorted(set(names) - {'__builtins__'})]))\n"
+    )
+    assert numpy_loaded is False
+    assert cli_name == "levelflow.cli"
+    assert star == sorted(levelflow.__all__)
 
 
 def test_run_arm_validation():
