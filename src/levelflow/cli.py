@@ -457,6 +457,7 @@ def _histogram_from_pairs(pairs) -> Histogram:
 
 def cmd_fit(args) -> int:
     """Fit the one-parameter curvature law to an external data file."""
+    check_bin_spec(args.bins)  # before the input is read, binned input included
     # bytes that are not UTF-8 reach args.input as lone surrogates, which UTF-8 cannot write
     if any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in args.input):
         raise ValidationError(f"input name {args.input!r} cannot stand on a header line: "
@@ -626,3 +627,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":  # `levelflow.__main__.run` is the one entry point; it pins BLAS first
+    sys.exit("error: levelflow.cli is not a command; run `levelflow` or `python -m levelflow`")

@@ -93,8 +93,6 @@ def sample_coupled(arm: ArmParams, rng: np.random.Generator) -> np.ndarray:
     exact block-diagonal matrices.
     """
     h = sample_goe(arm.n, arm.alpha, rng)
-    if arm.lam != 1.0:
-        m = arm.m
-        h[:m, m:] *= arm.lam
-        h[m:, :m] *= arm.lam
+    h[: arm.m, arm.m :] *= arm.lam
+    h[arm.m :, : arm.m] *= arm.lam
     return h

@@ -10,15 +10,17 @@ and all batch reductions run over arrays in that fixed order, which
 makes outputs reproducible bit for bit for a fixed seed, with any worker
 count.
 
-The decoupled limit switches to per-block frames automatically (see
-:data:`PER_BLOCK_THRESHOLD`): at coupling zero the blocks cross freely,
-and block-wise diagonalization keeps those crossings out of the
-curvature sums and the degeneracy guard.
+An arm at coupling exactly zero, the only one that draws block-diagonal
+matrices, runs on per-block frames: its blocks cross freely, and
+block-wise diagonalization keeps those crossings out of the curvature
+sums and the degeneracy guard.  Every other coupling, however small,
+runs on full frames.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,9 +40,6 @@ from .unfolding import (
     unfold_dynamics,
     window_levels,
 )
-
-#: Couplings below this are treated as exactly decoupled (per-block mode).
-PER_BLOCK_THRESHOLD = 1e-6
 
 #: |k| window for the tail-exponent entry of arm summaries.
 SUMMARY_TAIL_WINDOW = (3.0, 30.0)
@@ -80,7 +79,7 @@ class ArmParams:
 
     @property
     def per_block(self) -> bool:
-        return self.lam < PER_BLOCK_THRESHOLD
+        return self.lam == 0.0
 
     @property
     def blocks(self) -> tuple:
@@ -125,28 +124,17 @@ def realization_rows(arm: ArmParams, realization: int):
         inside = model.interior(frame.energies[idx])
         counts["dropped_edge"] += int(np.sum(~inside))
         idx = idx[inside]
-        if len(idx) == 0:
-            continue
         xdot, xddot = unfold_dynamics(model, frame, idx)
         chunks.append(np.column_stack([
             np.full(len(idx), realization), idx, np.full(len(idx), t), frame.energies[idx],
             frame.velocities[idx], frame.curvatures[idx], xdot, xddot,
         ]))
-    rows = np.concatenate(chunks) if chunks else np.empty((0, 8))
-    return rows, counts
+    return np.concatenate(chunks), counts
 
 
 def realization_eigenvalues(arm: ArmParams, realization: int) -> np.ndarray:
     """Eigenvalues of a single ensemble draw (density studies)."""
     return np.linalg.eigvalsh(sample_coupled(arm, child_rng(arm.seed, arm.eps_index, realization)))
-
-
-def _rows_task(args):
-    return realization_rows(*args)
-
-
-def _eigenvalues_task(args):
-    return realization_eigenvalues(*args)
 
 
 def single_threaded_blas():
@@ -172,18 +160,18 @@ def single_threaded_blas():
 
 
 def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
-    """Results of `task` for realizations 0, 1, .. in order, each yielded as it arrives."""
+    """Results of `task(arm, r)` for r = 0, 1, .. in order, each yielded as it arrives."""
     if realizations < 1:
         raise ValidationError(f"realization count must be >= 1, got {realizations}")
-    args = ((arm, r) for r in range(realizations))
+    task, indices = functools.partial(task, arm), range(realizations)
     if jobs <= 1 or realizations == 1:
-        return map(task, args)
-    return _pooled(task, args, min(jobs, realizations), max(realizations // (4 * jobs), 1))
+        return map(task, indices)
+    return _pooled(task, indices, min(jobs, realizations), max(realizations // (4 * jobs), 1))
 
 
-def _pooled(task, args, workers: int, chunksize: int):
+def _pooled(task, indices, workers: int, chunksize: int):
     with multiprocessing.Pool(workers, single_threaded_blas) as pool:
-        yield from pool.imap(task, args, chunksize=chunksize)
+        yield from pool.imap(task, indices, chunksize=chunksize)
 
 
 def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
@@ -194,7 +182,7 @@ def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     part, so the rows are held once.  Returns (batch, info) where info is
     the key-wise sum of the realizations' counts (see :func:`realization_rows`).
     """
-    results = _map_realizations(_rows_task, arm, realizations, jobs)
+    results = _map_realizations(realization_rows, arm, realizations, jobs)
     rows = np.empty((realizations * arm.t_samples * len(window_levels(arm.blocks, arm.window)), 8))
     filled, info = 0, {}
     for chunk, counts in results:
@@ -212,7 +200,7 @@ def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
 
 def pooled_eigenvalues(arm: ArmParams, realizations: int, jobs: int = 1) -> np.ndarray:
     """Eigenvalues of `realizations` independent draws, concatenated in order."""
-    return np.concatenate(list(_map_realizations(_eigenvalues_task, arm, realizations, jobs)))
+    return np.concatenate(list(_map_realizations(realization_eigenvalues, arm, realizations, jobs)))
 
 
 def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:

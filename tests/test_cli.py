@@ -528,6 +528,35 @@ def test_bad_bin_spec_is_refused_before_anything_is_written(tmp_path, capsys, co
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["garbage", "0", "10:5:-5"])
+@pytest.mark.parametrize("case", ["binned", "missing input"])
+def test_fit_checks_its_bin_spec_before_it_reads_the_input(tmp_path, capsys, spec, case):
+    # binned input has no use for --bins, and a missing input would exit 3 (I/O)
+    data, kind = tmp_path / "in.txt", "samples"
+    if case == "binned":  # a table that fits, as in test_fit_binned_exact_table
+        edges = np.linspace(-5.0, 5.0, 42)
+        rows = zip(0.5 * (edges[:-1] + edges[1:]), model_bin_density(edges, 1.0))
+        data.write_text("".join(f"{c} {d}\n" for c, d in rows))
+        kind = "binned"
+    out = tmp_path / "c.csv"
+    assert run(["fit", "--input", data, "--input-kind", kind, "--bins", spec, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {BAD_BIN_SPECS[spec]}\n"
+    assert not out.exists()
+
+
+def test_cli_module_is_not_a_command(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["simulate", "--n", "20", "--epsilon", "1", "--realizations", "2", "--out", "x.csv"]
+    done = subprocess.run([sys.executable, "-m", "levelflow.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert "`levelflow`" in done.stderr and "`python -m levelflow`" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_bin_spec():
     edges = parse_bin_spec("41:-5:5")
     assert len(edges) == 42 and edges[0] == -5.0 and edges[-1] == 5.0

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import importlib
 import json
@@ -18,6 +19,7 @@ from levelflow import (
     ValidationError,
     arm_summary,
     child_rng,
+    hamiltonian_at,
     normalize_batch,
     rescale_batch,
     run_arm,
@@ -48,8 +50,22 @@ def test_arm_from_epsilon_maps_coupling():
 
 def test_per_block_engages_only_at_zero_coupling():
     assert ArmParams(n=10, m=5, alpha=0.5, lam=0.0, seed=0).per_block
-    assert ArmParams(n=10, m=5, alpha=0.5, lam=1e-7, seed=0).per_block
+    assert not ArmParams(n=10, m=5, alpha=0.5, lam=1e-7, seed=0).per_block
     assert not ArmParams(n=10, m=5, alpha=0.5, lam=1e-3, seed=0).per_block
+
+
+def test_a_tiny_coupling_runs_on_full_frames():
+    # the arm draws a coupled matrix, so its levels are those of the whole H(t), in ascending order
+    arm = ArmParams(n=40, m=20, alpha=0.5, lam=1e-7, seed=3, t_samples=2)
+    assert not arm.per_block
+    rows, _ = realization_rows(arm, 0)
+    rng = child_rng(arm.seed, arm.eps_index, 0)
+    pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
+    for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
+        kept = rows[rows[:, 2] == t]
+        assert len(kept) == 20
+        whole = np.linalg.eigvalsh(hamiltonian_at(pair, t))
+        np.testing.assert_allclose(kept[:, 3], whole[kept[:, 1].astype(int)], rtol=0, atol=1e-12)
 
 
 def test_realization_rows_contract():
@@ -82,23 +98,51 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.158])  # per-block, coupled
-def test_run_arm_info_sums_the_realization_counts(lam):
-    # edge drops leave run_arm's row block part empty; the batch must be the realizations' rows
-    arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
-    results = [realization_rows(arm, r) for r in range(3)]
+def _assert_run_arm_is_the_realizations_rows(arm: ArmParams, realizations: int, results: list):
+    """run_arm at jobs 1 and 2 equals, bit for bit, the batch of the realizations' own rows."""
     counts = [c for _, c in results]
     rows = np.concatenate([r for r, _ in results])
     expected = normalize_batch(rescale_batch(CurvatureBatch.from_rows(rows)))
     for jobs in (1, 2):
-        batch, info = run_arm(arm, realizations=3, jobs=jobs)
+        batch, info = run_arm(arm, realizations=realizations, jobs=jobs)
         assert info == {key: sum(c[key] for c in counts) for key in counts[0]}
         assert list(info) == ["dropped_degenerate", "dropped_edge"]
         assert info["dropped_edge"] > 0
-        assert len(batch) + sum(info.values()) == 3 * arm.t_samples * arm.n
+        assert len(batch) + sum(info.values()) == realizations * arm.t_samples * arm.n
         for column in fields(CurvatureBatch):
             got, want = getattr(batch, column.name), getattr(expected, column.name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (jobs, column.name)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.158])  # per-block, coupled
+def test_run_arm_info_sums_the_realization_counts(lam):
+    # edge drops leave run_arm's row block part empty; the batch must be the realizations' rows
+    arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
+    _assert_run_arm_is_the_realizations_rows(arm, 3, [realization_rows(arm, r) for r in range(3)])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])  # per-block, coupled
+def test_a_realization_without_a_kept_level(lam):
+    # at n = 2 with one path position both levels can lie in the edge margin
+    arm = ArmParams(n=2, m=1, alpha=0.5, lam=lam, seed=3, t_samples=1, window=1.0)
+    results = [realization_rows(arm, r) for r in range(400)]
+    rows, counts = next(result for result in results if len(result[0]) == 0)
+    assert rows.shape == (0, 8) and rows.dtype == np.float64
+    assert counts["dropped_edge"] == 2
+    _assert_run_arm_is_the_realizations_rows(arm, 400, results)
+
+
+def test_run_arm_looks_its_realization_task_up_when_called(monkeypatch):
+    # perfbench/harness.py times realizations by replacing pipeline.realization_rows
+    calls = []
+
+    def counted(arm, realization):
+        calls.append(realization)
+        return realization_rows(arm, realization)
+
+    monkeypatch.setattr(levelflow.pipeline, "realization_rows", counted)
+    run_arm(ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0, t_samples=1), realizations=3)
+    assert calls == [0, 1, 2]
 
 
 def test_run_arm_batch_and_summary():
@@ -123,7 +167,7 @@ def test_run_arm_is_job_count_invariant():
     np.testing.assert_array_equal(serial.energy, parallel.energy)
 
 
-def _blas_threads_task(args):
+def _blas_threads_task(*args):
     """Thread count of numpy's bundled OpenBLAS in the calling process, or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
@@ -245,6 +289,26 @@ def test_package_exports_the_objects_of_their_modules():
     assert set(levelflow.__all__) <= set(dir(levelflow))
     with pytest.raises(AttributeError, match="no_such_name"):
         levelflow.no_such_name
+
+
+def test_every_name_the_benchmark_harness_wraps_exists():
+    # the harness replaces these names at run time; a renamed one would only fail in a traced run
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "harness.py").read_text())
+    modules = {"pipeline": levelflow.pipeline, "cli": levelflow.cli,
+               "statistics": levelflow.statistics, "np.linalg": np.linalg}
+    loops = {node.target.id: node.iter for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)}
+    wrapped = []
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "self.wrap":
+            module, name = ast.unparse(call.args[0]), call.args[1]
+            # a name is a string, or the variable of a loop over a tuple of strings
+            loop = loops.get(getattr(name, "id", None))
+            names = ast.literal_eval(loop) if loop is not None else [name.value]
+            wrapped += [(module, attr) for attr in names]
+    assert len(wrapped) >= 20
+    for module, name in wrapped:
+        assert callable(getattr(modules[module], name, None)), f"{module}.{name}"
 
 
 def test_import_levelflow_loads_no_numpy():
