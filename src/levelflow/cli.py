@@ -75,8 +75,8 @@ class RunConfig:
     bins: str = _flag(DEFAULT_CURVATURE_BINS, "bin spec COUNT or COUNT:LO:HI")
     out: str = _flag("", "output path, a directory for sweep (default named after the command)")
     format: str = _flag(FORMATS[0], "output format", choices=FORMATS)
-    jobs: int = _flag(0, "worker processes, each on one BLAS thread; 0 means all cores, "
-                          "counted at run time")
+    jobs: int = _flag(0, "worker processes, each on one BLAS thread, at most one per core; "
+                          "0 means all cores, counted at run time")
 
     def __post_init__(self):
         if self.m is None:
@@ -161,7 +161,9 @@ def _header_lines(command: str, config: dict) -> list:
 
 
 #: Rows formatted per write; the writer's memory is one chunk, not the table.
-WRITE_CHUNK_ROWS = 1024
+#: A chunk's floats, tuple and text take ~0.6 kB a row, so 256 rows stay below
+#: the statistics' block buffers.
+WRITE_CHUNK_ROWS = 256
 
 
 def write_table(path, fmt: str, command: str, config: dict, columns, data, summary=None):

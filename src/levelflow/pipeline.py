@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,13 +161,16 @@ def single_threaded_blas():
 
 
 def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
-    """Results of `task(arm, r)` for r = 0, 1, .. in order, each yielded as it arrives."""
+    """Results of `task(arm, r)` for r = 0, 1, .. in order, each yielded as it arrives.
+
+    At most `jobs` workers run, and never more than the realizations or the cores."""
     if realizations < 1:
         raise ValidationError(f"realization count must be >= 1, got {realizations}")
     task, indices = functools.partial(task, arm), range(realizations)
-    if jobs <= 1 or realizations == 1:
+    workers = min(jobs, realizations, os.cpu_count() or 1)
+    if workers <= 1:
         return map(task, indices)
-    return _pooled(task, indices, min(jobs, realizations), max(realizations // (4 * jobs), 1))
+    return _pooled(task, indices, workers, max(realizations // (4 * workers), 1))
 
 
 def _pooled(task, indices, workers: int, chunksize: int):

@@ -56,10 +56,19 @@ def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
     """Closed-form CDF of :func:`gamma_pdf`."""
     if not gamma > 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    # z**2 overflows past |z| ~ 1.3e154; at |z| = 2**500 it is exact and the CDF exactly 0 or 1
+    k = np.asarray(k, dtype=float)
+    # 0.5 * (1 + z / sqrt(1 + z**2)) in place in two buffers, z and out, neither of them k
+    z, out = np.empty_like(k), np.empty_like(k)
     with np.errstate(over="ignore"):  # k / gamma past the largest double is inf before the clip
-        z = np.clip(np.asarray(k, dtype=float) / gamma, -(2.0**500), 2.0**500)
-    out = 0.5 * (1.0 + z / np.sqrt(1.0 + z**2))
+        np.divide(k, gamma, out=z)
+    # z**2 overflows past |z| ~ 1.3e154; at |z| = 2**500 it is exact and the CDF exactly 0 or 1
+    np.clip(z, -(2.0**500), 2.0**500, out=z)
+    np.square(z, out=out)
+    out += 1.0
+    np.sqrt(out, out=out)
+    np.divide(z, out, out=out)
+    out += 1.0
+    out *= 0.5
     return out if out.ndim else float(out)
 
 
@@ -259,8 +268,8 @@ def ks_statistic(samples, gamma: float = 1.0) -> float:
 
     An ascending array is read where it lies; any other input is sorted
     into a copy, the one full-length array.  The CDF and the two empirical
-    differences are taken STAT_BLOCK values at a time.  Raises on an empty
-    sample set or a NaN sample.
+    differences are taken STAT_BLOCK values at a time, in two block buffers.
+    Raises on an empty sample set or a NaN sample.
     """
     samples = np.asarray(samples, dtype=float)
     if not _ascending(samples):
@@ -273,9 +282,16 @@ def ks_statistic(samples, gamma: float = 1.0) -> float:
     above = below = -np.inf
     for start, block in _blocks(samples):
         cdf = gamma_cdf(block, gamma)
-        i = np.arange(start, start + len(block))
-        above = max(above, np.max((i + 1) / n - cdf))
-        below = max(below, np.max(cdf - i / n))
+        # the ranks i + 1, then i, as exact float64 integers divided in place give
+        # (i + 1) / n - cdf and cdf - i / n bit for bit, one buffer beside cdf at a time
+        diff = np.arange(start + 1, start + len(block) + 1, dtype=float)
+        diff /= n
+        above = max(above, np.max(np.subtract(diff, cdf, out=diff)))
+        del diff
+        diff = np.arange(start, start + len(block), dtype=float)
+        diff /= n
+        below = max(below, np.max(np.subtract(cdf, diff, out=diff)))
+        del cdf, diff  # before the next block's CDF is made
     return float(max(above, below))
 
 

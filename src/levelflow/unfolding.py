@@ -158,7 +158,9 @@ class CurvatureBatch:
     dynamics next, then rescaled (K) by :func:`rescale_batch` and
     normalized (k) by :func:`normalize_batch`.  The rescaled/normalized
     columns stay None until the corresponding pass has run.  :meth:`from_rows`
-    takes the physics columns as views; the CLI writes them a chunk at a time.
+    takes every column as a view of the row block, the realization and level
+    ids too (float64 holding exact integers); the CLI writes them a chunk at
+    a time.
     """
 
     realization: np.ndarray
@@ -178,8 +180,7 @@ class CurvatureBatch:
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "CurvatureBatch":
         """Build from an (n, 8) row matrix ordered like the dataclass columns."""
-        realization, level, *physics = rows.T
-        return cls(realization.astype(int), level.astype(int), *physics)
+        return cls(*rows.T)
 
 
 def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
@@ -189,17 +190,22 @@ def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
     whole batch first, then K = (xddot - (<xdot xddot>/<xdot^2>) xdot)
     / (pi <xdot^2>) per sample.  The projection removes the component of
     the curvature correlated with the velocity, so adding any multiple
-    of xdot to xddot leaves K unchanged.
+    of xdot to xddot leaves K unchanged.  Both passes run in place in the
+    one buffer that becomes K.
     """
     if len(batch) == 0:
         raise ValidationError("cannot rescale an empty batch")
     xdot = batch.unfolded_velocity
     xddot = batch.unfolded_curvature
-    v2 = float(np.mean(xdot**2))
+    out = np.square(xdot)
+    v2 = float(np.mean(out))
     if v2 == 0.0:
         raise ValidationError("batch velocity second moment is zero")
-    cross = float(np.mean(xdot * xddot))
-    batch.rescaled = (xddot - (cross / v2) * xdot) / (np.pi * v2)
+    cross = float(np.mean(np.multiply(xdot, xddot, out=out)))
+    np.multiply(xdot, cross / v2, out=out)
+    np.subtract(xddot, out, out=out)
+    out /= np.pi * v2
+    batch.rescaled = out
     return batch
 
 
@@ -209,8 +215,9 @@ def normalize_batch(batch: CurvatureBatch) -> CurvatureBatch:
         raise ValidationError("rescale the batch before normalizing it")
     if len(batch) == 0:
         raise ValidationError("cannot normalize an empty batch")
-    scale = float(np.mean(np.abs(batch.rescaled)))
+    out = np.abs(batch.rescaled)  # then k, in place
+    scale = float(np.mean(out))
     if scale == 0.0:
         raise ValidationError("all rescaled curvatures vanish; nothing to normalize")
-    batch.normalized = batch.rescaled / scale
+    batch.normalized = np.divide(batch.rescaled, scale, out=out)
     return batch

@@ -30,7 +30,7 @@ from levelflow import (
     unfold_dynamics,
     window_levels,
 )
-from levelflow.cli import SAMPLE_COLUMNS, RunConfig, main
+from levelflow.cli import SAMPLE_COLUMNS, RunConfig, main, write_table
 from levelflow.dynamics import degeneracy_tolerance
 from levelflow.pipeline import (
     ArmParams,
@@ -38,6 +38,7 @@ from levelflow.pipeline import (
     pooled_eigenvalues,
     realization_rows,
 )
+from levelflow.statistics import STAT_BLOCK
 
 
 def test_arm_from_epsilon_maps_coupling():
@@ -176,7 +177,8 @@ def _blas_threads_task(*args):
     return None
 
 
-def test_workers_run_blas_on_one_thread():
+def test_workers_run_blas_on_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     threads = list(_map_realizations(_blas_threads_task, arm, realizations=2, jobs=2))
     if threads[0] is None:
@@ -333,7 +335,8 @@ def test_run_arm_validation():
 
 
 def test_run_arm_holds_its_rows_once():
-    # rows are 8 float64 columns, 64 B a sample; the batch adds two int and two float columns
+    # rows are 8 float64 columns, 64 B a sample, and the batch's columns are views of them;
+    # rescaling and normalizing add K and k, 16 B a sample, and no temporary beside them
     arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=5)
     run_arm(arm, realizations=1)  # numpy's lazy imports are not the batch's memory
     tracemalloc.start()
@@ -343,7 +346,96 @@ def test_run_arm_holds_its_rows_once():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * len(batch) * 64
+    assert peak <= len(batch) * (64 + 16) + 2**14
+    block = batch.energy.base  # the row block, which owns the memory of every row column
+    assert np.shares_memory(batch.realization, block) and np.shares_memory(batch.level, block)
+    assert batch.realization.dtype == batch.level.dtype == np.float64
+    assert np.array_equal(batch.realization, np.repeat(np.arange(200), 4 * 20))
+
+
+def _synthetic_batch(samples: int) -> CurvatureBatch:
+    """A rescaled and normalized batch of `samples` rows in run_arm's layout."""
+    rng = child_rng(51, 0)
+    rows = np.empty((samples, 8))
+    rows[:, 0] = np.arange(samples) // 80
+    rows[:, 1] = np.arange(samples) % 80
+    rows[:, 2:] = rng.standard_normal((samples, 6))
+    rows[:, 7] = rng.standard_cauchy(samples)
+    return normalize_batch(rescale_batch(CurvatureBatch.from_rows(rows)))
+
+
+def test_summary_and_writer_add_little_to_a_40k_sample_batch(tmp_path):
+    # the summary holds one sorted copy of k and two statistics blocks; the writer one chunk,
+    # so its first 4,096 rows, several chunks, show its peak at any length
+    arm = ArmParams(n=40, m=20, alpha=0.5, lam=0.5, seed=5)
+    batch, info = _synthetic_batch(40_000), {"dropped_degenerate": 0, "dropped_edge": 0}
+    columns = [getattr(batch, f.name)[:4096] for f in fields(CurvatureBatch)]
+    calls = {"summary": lambda: arm_summary(arm, batch, info)}
+    for fmt in ("csv", "json"):
+        calls[fmt] = lambda fmt=fmt: write_table(tmp_path / f"s.{fmt}", fmt, "simulate",
+                                                 {"n": 40}, SAMPLE_COLUMNS, columns)
+    peaks = {}
+    for name, call in calls.items():
+        call()  # numpy's lazy imports are not the call's memory
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peaks["summary"] <= len(batch) * 8 + 2 * 8 * STAT_BLOCK + 2**14, peaks
+    assert peaks["csv"] <= 2**18 and peaks["json"] <= 2**18, peaks
+
+
+class _RecordingPool:
+    """A stand-in for multiprocessing.Pool that records its worker count, starts no
+    process and runs the tasks in order in the caller."""
+
+    started = []
+
+    def __init__(self, workers, initializer=None):
+        self.started.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, task, indices, chunksize=1):
+        return map(task, indices)
+
+
+def _realization_index(arm, realization):
+    return realization
+
+
+@pytest.mark.parametrize("cores, jobs, realizations, workers", [
+    (3, 100_000, 100_000, 3),  # never more workers than cores
+    (3, 100_000, 2, 2),        # nor than realizations
+    (8, 4, 50, 4),
+    (None, 100_000, 50, None),  # an unknown core count is one core: no pool
+    (3, 1, 50, None),
+    (3, 4, 1, None),
+])
+def test_pool_workers_are_capped_at_the_cores(monkeypatch, cores, jobs, realizations, workers):
+    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
+    results = list(_map_realizations(_realization_index, arm, realizations, jobs))
+    assert results == list(range(realizations))
+    assert _RecordingPool.started == ([] if workers is None else [workers])
+
+
+def test_cli_jobs_past_the_cores_start_one_worker_per_core(tmp_path, monkeypatch):
+    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    assert main(["density", "--n", "10", "--epsilon", "1", "--realizations", "6",
+                 "--jobs", "100000", "--out", str(tmp_path / "d.csv")]) == 0
+    assert _RecordingPool.started == [2]
 
 
 def test_pooled_eigenvalues_deterministic():

@@ -85,6 +85,31 @@ def test_gamma_cdf_matches_pdf():
 # sampler
 
 
+def test_gamma_cdf_keeps_the_bits_of_the_closed_form_and_its_argument():
+    def closed_form(k, gamma):
+        with np.errstate(over="ignore"):
+            z = np.clip(np.asarray(k, dtype=float) / gamma, -(2.0**500), 2.0**500)
+        out = 0.5 * (1.0 + z / np.sqrt(1.0 + z**2))
+        return out if out.ndim else float(out)
+
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.0**500, -(2.0**500), 2.0**501, -1e308,
+               1e308, 1.3e154, 5e-324, -5e-324, 1.0, -3.5]
+    values = np.concatenate([special, sample_gamma_dist(1.0, 1000, child_rng(48, 0))])
+    for gamma in (1.0, 0.8, 2.5, 1e-300, 1e300):
+        kept = values.copy()
+        got = gamma_cdf(values, gamma)
+        assert got.tobytes() == closed_form(values, gamma).tobytes()
+        assert values.tobytes() == kept.tobytes() and not np.shares_memory(got, values)
+        assert gamma_cdf(special, gamma).tobytes() == closed_form(special, gamma).tobytes()
+        zero_d = np.array(-2.5)
+        assert np.asarray(gamma_cdf(zero_d, gamma)).tobytes() == np.asarray(
+            closed_form(zero_d, gamma)).tobytes()
+        assert zero_d == -2.5
+        for x in special:
+            got, want = gamma_cdf(x, gamma), closed_form(x, gamma)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_sampler_mean_abs():
     k = sample_gamma_dist(1.0, 100000, child_rng(2718, 0))
     # <|K|> = gamma; the |K| distribution is heavy-tailed, so convergence is
@@ -368,7 +393,8 @@ def traced_peak(call):
 def test_sample_reductions_hold_one_sorted_copy_at_most():
     samples = sample_gamma_dist(0.8, 400_000, child_rng(44, 0))
     edges = np.linspace(-5.0, 5.0, 42)
-    assert traced_peak(lambda: ks_statistic(samples, 0.8)) <= samples.nbytes + 2**20
+    block_bytes = 8 * STAT_BLOCK
+    assert traced_peak(lambda: ks_statistic(samples, 0.8)) <= samples.nbytes + 2 * block_bytes + 2**14
     assert traced_peak(lambda: build_histogram(samples, edges, truncated=False)) <= 2**20
 
 

@@ -194,8 +194,10 @@ def test_rescale_time_reparametrization_invariance(rng):
 def test_rescale_errors():
     with pytest.raises(ValidationError):
         rescale_batch(make_batch([], []))
+    still = make_batch([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
-        rescale_batch(make_batch([0.0, 0.0], [1.0, 2.0]))
+        rescale_batch(still)
+    assert still.rescaled is None  # the in-place buffer is not left behind
 
 
 def test_normalize_batch():
@@ -217,6 +219,31 @@ def test_normalize_errors():
     batch = rescale_batch(make_batch([1.0, -1.0], [0.0, 0.0]))
     with pytest.raises(ValidationError):
         normalize_batch(batch)
+    assert batch.normalized is None
+
+
+def test_from_rows_takes_every_column_as_a_view():
+    rows = np.arange(48.0).reshape(6, 8)
+    batch = CurvatureBatch.from_rows(rows)
+    for column, name in enumerate(["realization", "level", "t", "energy", "raw_velocity",
+                                   "raw_curvature", "unfolded_velocity", "unfolded_curvature"]):
+        values = getattr(batch, name)
+        assert np.shares_memory(values, rows) and values.dtype == np.float64
+        assert values.tolist() == rows[:, column].tolist()
+
+
+def test_rescale_and_normalize_keep_the_bits_of_the_whole_column_formulas(rng):
+    xdot = rng.standard_normal(5000)
+    xddot = rng.standard_cauchy(5000)
+    rows = np.zeros((5000, 8))
+    rows[:, 6], rows[:, 7] = xdot, xddot  # strided columns, as run_arm passes them
+    batch = normalize_batch(rescale_batch(CurvatureBatch.from_rows(rows)))
+    v2, cross = np.mean(xdot**2), np.mean(xdot * xddot)
+    rescaled = (xddot - (cross / v2) * xdot) / (np.pi * v2)
+    assert batch.rescaled.tobytes() == rescaled.tobytes()
+    assert batch.normalized.tobytes() == (rescaled / np.mean(np.abs(rescaled))).tobytes()
+    assert not np.shares_memory(batch.rescaled, batch.normalized)
+    assert rows[:, 6].tobytes() == xdot.tobytes() and rows[:, 7].tobytes() == xddot.tobytes()
 
 
 def test_select_levels_windows():
