@@ -83,8 +83,6 @@ class RunConfig:
             self.m = self.n // 2
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
-        if self.format not in FORMATS:
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 0:
             raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
         if self.jobs == 0:
@@ -529,7 +527,7 @@ def _field_cast(hint):
     return (get_args(hint) or (hint,))[0], None
 
 
-#: (cast, nargs) of each RunConfig field, shared by its flag and its --config key.
+#: (cast, nargs) of each RunConfig field's flag, which its --config key stands for.
 _FIELD_CASTS = {name: _field_cast(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
@@ -538,11 +536,10 @@ def _add_run_flags(parser, command: str):
     for f in fields(RunConfig):
         cast, nargs = _FIELD_CASTS[f.name]
         default = _COMMAND_DEFAULTS.get(command, {}).get(f.name, f.default)
-        if isinstance(default, tuple):
-            default = " ".join(f"{value:g}" for value in default)
-        shown = "" if default in (None, "") else f" (default {default})"
+        shown = " ".join(f"{v:g}" for v in default) if isinstance(default, tuple) else default
+        shown = "" if shown in (None, "") else f" (default {shown})"
         choices = f.metadata["choices"]
-        parser.add_argument("--" + f.name.replace("_", "-"), type=cast, nargs=nargs,
+        parser.add_argument("--" + f.name.replace("_", "-"), type=cast, nargs=nargs, default=default,
                             choices=choices, metavar=None if choices else cast.__name__.upper(),
                             help=f.metadata["help"] + shown)
 
@@ -570,8 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_file_flags(path: str) -> list:
+    """The flags a --config file stands for: each `key = value` line becomes
+    `--key=value`, or `--key v1 v2 ..` for a list key, its value split at
+    commas and whitespace; argparse then casts and checks them as typed flags."""
+    flags = []
     with _open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -583,38 +583,26 @@ def _read_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _FIELD_CASTS:
                 raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = value.strip()
-    return values
-
-
-def _config_from_args(args) -> RunConfig:
-    """Each RunConfig field from its flag, else the --config file (cast as
-    the flag is), else the command's own default (_COMMAND_DEFAULTS), else
-    the field's default."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    given = dict(_COMMAND_DEFAULTS.get(args.command, {}))
-    for name, (cast, nargs) in _FIELD_CASTS.items():
-        value = getattr(args, name)
-        if value is None and name in file_values:
-            text = file_values[name]
-            try:
-                value = [cast(t) for t in text.replace(",", " ").split()] if nargs else cast(text)
-            except ValueError as exc:
-                raise ValidationError(f"config key {name!r}: {exc}") from exc
-        if value is not None:
-            given[name] = value
-    given["epsilon"] = tuple(given.get("epsilon", ()))
-    return RunConfig(**given)
+            flag = "--" + key.replace("_", "-")
+            if _FIELD_CASTS[key][1]:
+                flags += [flag, *value.replace(",", " ").split()]
+            else:
+                flags.append(f"{flag}={value.strip()}")
+    return flags
 
 
 def main(argv=None) -> int:
     single_threaded_blas()  # here, not at import, and for in-process callers of main too
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.command == "fit":
             return cmd_fit(args)
-        config = _config_from_args(args)
+        if args.config:  # the file's flags first, so the command line's win
+            args = parser.parse_args([args.command] + _config_file_flags(args.config) + argv[1:])
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}
+                           | {"epsilon": tuple(args.epsilon)})
         if args.command == "simulate":
             return cmd_simulate(config)
         if args.command == "density":

@@ -217,7 +217,7 @@ def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:
         "lambda": arm.lam,
         "per_block": arm.per_block,
         "n_samples": len(batch),
-        "mean_abs_rescaled": float(np.mean(np.abs(batch.rescaled))),
+        "mean_abs_rescaled": batch.mean_abs_rescaled,
         "ks_vs_universal": ks_statistic(k, 1.0),
         **info,
     }

@@ -173,6 +173,8 @@ class CurvatureBatch:
     unfolded_curvature: np.ndarray
     rescaled: np.ndarray | None = None
     normalized: np.ndarray | None = None
+    #: <|K|>, the scale normalize_batch divides K by; not annotated, so not a field or column.
+    mean_abs_rescaled = None
 
     def __len__(self) -> int:
         return len(self.energy)
@@ -210,7 +212,8 @@ def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
 
 
 def normalize_batch(batch: CurvatureBatch) -> CurvatureBatch:
-    """Fill the normalized column k = K / <|K|>; afterwards mean |k| is 1."""
+    """Fill the normalized column k = K / <|K|> and keep <|K|> as mean_abs_rescaled;
+    afterwards mean |k| is 1."""
     if batch.rescaled is None:
         raise ValidationError("rescale the batch before normalizing it")
     if len(batch) == 0:
@@ -220,4 +223,5 @@ def normalize_batch(batch: CurvatureBatch) -> CurvatureBatch:
     if scale == 0.0:
         raise ValidationError("all rescaled curvatures vanish; nothing to normalize")
     batch.normalized = np.divide(batch.rescaled, scale, out=out)
+    batch.mean_abs_rescaled = scale
     return batch

@@ -111,23 +111,60 @@ def test_config_file_with_cli_override(tmp_path):
     assert read_table(out_b)[0]["seed"] == "20"
 
 
-def test_run_config_defaults_and_file_casts(tmp_path):
-    parser = cli.build_parser()
+def config_of(argv):
+    """The RunConfig that main builds from argv, taken where its command would run."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("cmd_simulate", "cmd_density", "cmd_sweep"):
+            patch.setattr(cli, name, lambda config: seen.append(config) or 0)
+        assert main([str(a) for a in argv]) == 0
+    return seen[0]
+
+
+def test_run_config_defaults_and_file_casts(tmp_path, capsys):
     for command, epsilon, bins in (("simulate", (), cli.DEFAULT_CURVATURE_BINS),
                                    ("sweep", cli.DEFAULT_SWEEP, cli.DEFAULT_CURVATURE_BINS),
                                    ("density", (), "41")):
-        got = cli._config_from_args(parser.parse_args([command]))
-        assert got == cli.RunConfig(epsilon=epsilon, bins=bins)
+        assert config_of([command]) == cli.RunConfig(epsilon=epsilon, bins=bins)
     conf = tmp_path / "conf.txt"
     conf.write_text("n = 24\nm = 10\nalpha = 0.25\nepsilon = 0, 1.5\nwindow = 0.4\n"
                     "bins = 11:-3:3\nout = x.json\nformat = json\njobs = 1\n")
-    got = cli._config_from_args(parser.parse_args(["sweep", "--config", str(conf), "--m", "8"]))
+    got = config_of(["sweep", "--config", conf, "--m", 8])
     assert got == cli.RunConfig(n=24, m=8, alpha=0.25, epsilon=(0.0, 1.5), window=0.4,
                                 bins="11:-3:3", out="x.json", format="json", jobs=1)
     assert [type(getattr(got, name)) for name in ("n", "alpha", "window")] == [int, float, float]
     conf.write_text("alpha = half\n")
-    with pytest.raises(ValidationError, match="config key 'alpha'"):
-        cli._config_from_args(parser.parse_args(["simulate", "--config", str(conf)]))
+    assert run(["simulate", "--config", conf]) == 1
+    assert capsys.readouterr().err == "error: argument --alpha: invalid float value: 'half'\n"
+
+
+def test_command_line_list_replaces_the_file_list(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("epsilon = 0, 1.5\nseed = 4\n")
+    assert config_of(["simulate", "--config", conf]).epsilon == (0.0, 1.5)
+    got = config_of(["simulate", "--config", conf, "--epsilon", 1.5])
+    assert (got.epsilon, got.seed) == ((1.5,), 4)
+    # the file's scalars pass through as --key=value, so a leading '-' is a value
+    conf.write_text("out = -x.csv\n")
+    assert config_of(["simulate", "--config", conf]).out == "-x.csv"
+
+
+@pytest.mark.parametrize("line, override, message", [
+    ("alpha = half", ["--alpha", 0.25], "argument --alpha: invalid float value: 'half'"),
+    ("format = xml", ["--format", "csv"], "argument --format: invalid choice: 'xml'"),
+])
+@pytest.mark.parametrize("overridden", [False, True])
+def test_bad_config_value_is_refused_even_when_a_flag_overrides_it(tmp_path, capsys, line,
+                                                                   override, message, overridden):
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"n = 20\nepsilon = 1\nrealizations = 2\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["simulate", "--config", conf, "--out", out / "s.csv", "--jobs", 1]
+    assert run(args + (override if overridden else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("how", ["flag", "config", "jobs2"])
@@ -170,10 +207,14 @@ def test_alpha_near_the_refused_range_still_runs(tmp_path, command, alpha):
     assert len(rows) > 0 and np.all(np.isfinite(rows))
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     conf = tmp_path / "conf.txt"
     conf.write_text("banana = 7\n")
     assert run(["simulate", "--config", conf, "--epsilon", 1.0]) == 1
+    assert capsys.readouterr().err == f"error: {conf}: line 1: unknown key 'banana'\n"
+    conf.write_text("# n\n\nn 24\n")
+    assert run(["simulate", "--config", conf, "--epsilon", 1.0]) == 1
+    assert capsys.readouterr().err == f"error: {conf}: line 3: expected 'key = value'\n"
 
 
 #: Every RunConfig field as a --config value, each different from its default.
@@ -189,9 +230,8 @@ def test_config_file_with_every_key_matches_flags(tmp_path, monkeypatch, capsys,
     conf.write_text("".join(f"{key} = {value}\n" for key, value in _EVERY_KEY.items()))
     flags = [command] + [token for key, value in _EVERY_KEY.items()
                          for token in ("--" + key.replace("_", "-"), *value.split())]
-    parser = cli.build_parser()
-    from_flags = cli._config_from_args(parser.parse_args(flags))
-    from_file = cli._config_from_args(parser.parse_args([command, "--config", str(conf)]))
+    from_flags = config_of(flags)
+    from_file = config_of([command, "--config", conf])
     assert from_flags == from_file
     assert (from_flags.epsilon, from_flags.t_samples, from_flags.jobs) == ((0.0, 1.5), 2, 1)
     outputs = []

@@ -364,6 +364,21 @@ def _synthetic_batch(samples: int) -> CurvatureBatch:
     return normalize_batch(rescale_batch(CurvatureBatch.from_rows(rows)))
 
 
+def test_summary_reports_the_mean_abs_k_that_normalized_the_batch():
+    # one <|K|>, taken by normalize_batch; it is an attribute, not an eleventh sample column
+    assert "mean_abs_rescaled" not in [f.name for f in fields(CurvatureBatch)]
+    arm = ArmParams(n=30, m=15, alpha=0.5, lam=0.3, seed=9, t_samples=2)
+    ran, info = run_arm(arm, realizations=4)
+    by_hand = _synthetic_batch(2000)
+    by_hand.rescaled = 3.7 * child_rng(52, 0).standard_cauchy(len(by_hand))
+    normalize_batch(by_hand)
+    for batch in (ran, _synthetic_batch(2000), by_hand):
+        reported = arm_summary(arm, batch, info)["mean_abs_rescaled"]
+        assert type(reported) is float
+        assert reported.hex() == float(np.mean(np.abs(batch.rescaled))).hex()
+    assert np.mean(np.abs(by_hand.normalized)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_summary_and_writer_add_little_to_a_40k_sample_batch(tmp_path):
     # the summary holds one sorted copy of k and two statistics blocks; the writer one chunk,
     # so its first 4,096 rows, several chunks, show its peak at any length
