@@ -216,16 +216,10 @@ def check_bin_spec(spec: str):
     return count, bin_range
 
 
-def parse_bin_spec(spec: str, default_range=None):
+def parse_bin_spec(spec: str, default_range):
     """Bin edges of a checked bin spec; a bare COUNT spans `default_range`, the command's own."""
     count, bin_range = check_bin_spec(spec)
-    if bin_range is None:
-        if default_range is None:
-            raise ValidationError(
-                f"bin spec {spec!r} gives no range and the command has no natural one"
-            )
-        bin_range = default_range
-    return np.linspace(*bin_range, count + 1)
+    return np.linspace(*(bin_range or default_range), count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +291,17 @@ def cmd_density(config: RunConfig) -> int:
     model = arm.density_model()
     edges = parse_bin_spec(config.bins, default_range=model.support)
     eigenvalues = pooled_eigenvalues(arm, config.realizations, config.jobs)
-    hist = build_histogram(eigenvalues, edges)
+    # over all eigenvalues, as rho / n is normalized over the whole support, whatever the bins
+    hist = build_histogram(eigenvalues, edges, truncated=False)
     model_density = np.asarray(model.density(hist.centers)) / config.n
     rows = [edges[:-1], edges[1:], hist.counts, hist.density, model_density]
-    outside = hist.underflow + hist.overflow
+    outside = int(np.count_nonzero(np.abs(eigenvalues) > model.support[1]))
     summary = {
         "epsilon": config.epsilon[0],
         "lambda": arm.lam,
         "radius": model.support[1],
         "eigenvalues": int(len(eigenvalues)),
-        "outside_support": int(outside),
+        "outside_support": outside,
         "outside_fraction": outside / len(eigenvalues),
         "chi_square_per_dof": reduced_chi_square(hist, model_density),
     }
@@ -342,7 +337,9 @@ def cmd_sweep(config: RunConfig) -> int:
         _print_arm(summaries[-1])
     out_dir = Path(config.out or "sweep_out")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the universal law conditioned on the bins' range, over which each histogram is normalized
     reference = model_bin_density(edges, 1.0)
+    reference /= np.sum(reference * np.diff(edges))
     overlay = [hists[0].centers, reference]  # every arm shares the edges
     overlay_columns = ["bin_center", "universal_density"]
     for i, (eps, summary, hist) in enumerate(zip(config.epsilon, summaries, hists)):

@@ -22,14 +22,8 @@ import numpy as np
 
 from .errors import EigensolverError, ValidationError
 
-#: Degeneracy tolerance as a fraction of the half-width of the spectrum.
+#: Degeneracy tolerance as a fraction of the half-spread of the frame's spectrum.
 DEGENERACY_SCALE = 1e-8
-
-
-def degeneracy_tolerance(half_width: float) -> float:
-    """Gap below which a level counts as degenerate: DEGENERACY_SCALE * half_width,
-    with a positive floor so exactly coincident spectra still get masked."""
-    return max(DEGENERACY_SCALE * half_width, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -124,58 +118,45 @@ def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray, rows=None) -> np.
     return -energies[rows] + 2.0 * np.sum(p_matrix * p_matrix / diff, axis=1)
 
 
-def frame_from_p(energies: np.ndarray, p: np.ndarray, degeneracy_tol: float | None = None,
-                 rows=None) -> SpectralFrame:
+def frame_from_p(energies: np.ndarray, p: np.ndarray, rows=None) -> SpectralFrame:
     """Frame of an ascending spectrum and its P = U^T Hdot U.
 
-    degeneracy_tol defaults to :func:`degeneracy_tolerance` of the half-spread
-    of the spectrum (about the semicircle radius for GOE-scaled input).
-    rows, if given, are the levels whose velocities and curvatures are
-    evaluated; the others hold nan.
+    A level is degenerate when its nearest-neighbour gap is below
+    DEGENERACY_SCALE times the half-spread (E[-1] - E[0]) / 2 of this
+    spectrum, with a positive floor so exactly coincident spectra are still
+    flagged.  rows, if given, are the levels whose velocities and
+    curvatures are evaluated; the others hold nan.
     """
-    if degeneracy_tol is None:
-        degeneracy_tol = degeneracy_tolerance(0.5 * (energies[-1] - energies[0]))
-    elif not degeneracy_tol > 0:
-        raise ValidationError(f"degeneracy tolerance must be positive, got {degeneracy_tol}")
+    tol = max(DEGENERACY_SCALE * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
     picked = np.arange(len(energies)) if rows is None else np.asarray(rows, dtype=int)
     velocities, curvatures = np.full((2, len(energies)), np.nan)
     velocities[picked] = p[picked, picked]
     curvatures[picked] = curvature_sums(energies, p[picked], picked)
-    mask = _local_gaps(energies) < degeneracy_tol
+    mask = _local_gaps(energies) < tol
     return SpectralFrame(energies, velocities, curvatures, p, mask)
 
 
-def spectral_frame(
-    pair: RotatingPair,
-    t: float,
-    degeneracy_tol: float | None = None,
-    rows=None,
-) -> SpectralFrame:
+def spectral_frame(pair: RotatingPair, t: float, rows=None) -> SpectralFrame:
     """Diagonalize H(t) and evaluate level velocities and curvatures (see
-    :func:`frame_from_p` for degeneracy_tol and rows).
+    :func:`frame_from_p` for the degeneracy rule and rows).
 
     P itself is formed in full: BLAS tiles and threads a product's rows
     by its shape, so selected rows alone can differ in the last bit.
     """
     energies, u = _eigh(hamiltonian_at(pair, t), f"H(t) at t={t}")
-    return frame_from_p(energies, u.T @ hamiltonian_rate(pair, t) @ u, degeneracy_tol, rows)
+    return frame_from_p(energies, u.T @ hamiltonian_rate(pair, t) @ u, rows)
 
 
-def spectral_frame_blocks(
-    pair: RotatingPair,
-    t: float,
-    blocks: tuple,
-    degeneracy_tol: float | None = None,
-    rows=None,
-) -> SpectralFrame:
+def spectral_frame_blocks(pair: RotatingPair, t: float, blocks: tuple, rows=None) -> SpectralFrame:
     """Per-block frame for exactly block-diagonal pairs (decoupled ensemble).
 
     Each diagonal block is diagonalized on its own, so curvature sums
-    never mix levels of different blocks and free crossings between
-    blocks cannot trip the degeneracy guard.  energies are ascending
-    within each block; rows are block offset + in-block position, as in
-    :func:`spectral_frame`.  The frame carries no p_matrix: use
-    :func:`spectral_frame` on the whole pair for P.
+    never mix levels of different blocks, free crossings between blocks
+    cannot trip the degeneracy guard, and each block's guard scales with
+    that block's own spread.  energies are ascending within each block;
+    rows are block offset + in-block position, as in :func:`spectral_frame`.
+    The frame carries no p_matrix: use :func:`spectral_frame` on the whole
+    pair for P.
     """
     if sum(blocks) != pair.dim:
         raise ValidationError(f"block sizes {blocks} do not add up to dimension {pair.dim}")
@@ -184,7 +165,7 @@ def spectral_frame_blocks(
     frames = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         local = None if rows is None else rows[(rows >= lo) & (rows < hi)] - lo
-        frames.append(spectral_frame(pair.block(lo, hi), t, degeneracy_tol, local))
+        frames.append(spectral_frame(pair.block(lo, hi), t, local))
     return SpectralFrame(
         energies=np.concatenate([fr.energies for fr in frames]),
         velocities=np.concatenate([fr.velocities for fr in frames]),

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import RotatingPair, degeneracy_tolerance, spectral_frame, spectral_frame_blocks
+from .dynamics import RotatingPair, spectral_frame, spectral_frame_blocks
 from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
 from .errors import ValidationError
 from .statistics import ks_statistic, tail_exponent
@@ -110,16 +110,15 @@ def realization_rows(arm: ArmParams, realization: int):
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
     model = arm.density_model()
-    tol = degeneracy_tolerance(model.support[1])
     window = window_levels(arm.blocks, arm.window)
 
     chunks = []
     counts = {"dropped_degenerate": 0, "dropped_edge": 0}
     for t in ts:
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, arm.blocks, tol, window)
+            frame = spectral_frame_blocks(pair, t, arm.blocks, window)
         else:
-            frame = spectral_frame(pair, t, tol, window)
+            frame = spectral_frame(pair, t, window)
         idx = select_levels(frame, window)
         counts["dropped_degenerate"] += len(window) - len(idx)
         inside = model.interior(frame.energies[idx])

@@ -6,9 +6,11 @@ radius follows from the second moment of the entry distribution,
     rho(E) = (4 alpha / (pi (1 + lam^2))) * sqrt(R^2 - E^2),
     R^2    = n (1 + lam^2) / (2 alpha),
 
-valid for the symmetric block split n = 2m (and for any split in the
-single-GOE and fully decoupled limits).  Unfolding integrates rho in
-closed form.  Velocities and curvatures are pushed through the unfolding
+valid for the symmetric block split n = 2m and, for any split, in the
+single-GOE limit lam = 1.  At lam = 0 with m != n/2 the density is two
+semicircles, of radii sqrt(m / alpha) and sqrt((n - m) / alpha), which
+this model does not describe (ROADMAP item 1).  Unfolding integrates rho
+in closed form.  Velocities and curvatures are pushed through the unfolding
 map by the chain rule, rescaled against the batch velocity moments
 
     K = (xddot - (<xdot xddot>/<xdot^2>) xdot) / (pi <xdot^2>),

@@ -300,12 +300,30 @@ def test_density_artifact(tmp_path, capsys):
     assert columns == ["bin_lo", "bin_hi", "count", "density", "model_density"]
     assert rows.shape == (21, 5)
     widths = rows[:, 1] - rows[:, 0]
-    assert abs(np.sum(rows[:, 3] * widths) - 1.0) < 1e-12
+    summary = json.loads((tmp_path / "d.csv.summary.json").read_text())
+    # the density is taken over all eigenvalues, and the default bins span the support,
+    # so the bins hold every eigenvalue but those outside the support
+    assert abs(np.sum(rows[:, 3] * widths) - (1.0 - summary["outside_fraction"])) < 1e-12
     # model column integrates to ~1 over the support
     assert abs(np.sum(rows[:, 4] * widths) - 1.0) < 0.01
-    summary = json.loads((tmp_path / "d.csv.summary.json").read_text())
     assert summary["eigenvalues"] == 30 * 40
     assert 0 <= summary["outside_fraction"] < 0.1
+
+
+def test_density_on_a_sub_range_of_the_support(tmp_path):
+    # bins over [-8, 0], inside the support [-R, R], R = sqrt(101): the histogram is normalized
+    # over all eigenvalues, as rho / n is, and outside_support counts |E| > R, not the unbinned ones
+    out = tmp_path / "d.csv"
+    code = run(["density", "--n", 100, "--epsilon", 1, "--realizations", 100, "--seed", 2,
+                "--bins", "21:-8:0", "--out", out, "--jobs", 1])
+    assert code == 0
+    _, _, rows = read_table(out)
+    summary = json.loads((tmp_path / "d.csv.summary.json").read_text())
+    widths = rows[:, 1] - rows[:, 0]
+    mass = np.sum(rows[:, 4] * widths)  # the semicircle's share of [-8, 0], about 0.45
+    assert abs(np.sum(rows[:, 3] * widths) - mass) < 0.01
+    assert summary["outside_fraction"] < 0.02
+    assert summary["chi_square_per_dof"] < 3.0
 
 
 def test_density_requires_single_epsilon(tmp_path):
@@ -324,15 +342,31 @@ def test_sweep_artifacts(tmp_path):
         assert (out / name).exists()
     _, columns, rows = read_table(out / "hist_eps0.csv")
     assert columns == ["bin_lo", "bin_hi", "count", "density", "model_density"]
+    # the universal law conditioned on [-4, 4], as the histograms are normalized over their bins
+    edges = np.linspace(-4, 4, 12)
     np.testing.assert_allclose(
-        rows[:, 4], model_bin_density(np.linspace(-4, 4, 12), 1.0), rtol=1e-12
+        rows[:, 4], model_bin_density(edges, 1.0) / (gamma_cdf(4.0) - gamma_cdf(-4.0)), rtol=1e-12
     )
     _, overlay_cols, overlay = read_table(out / "overlay.csv")
     assert overlay_cols == ["bin_center", "universal_density", "density_eps0", "density_eps2"]
+    assert np.array_equal(overlay[:, 1], rows[:, 4])
     arms = json.loads((out / "summary.json").read_text())["arms"]
     assert len(arms) == 2
     assert arms[0]["per_block"] is True
     assert arms[1]["per_block"] is False
+
+
+@pytest.mark.parametrize("bins", ["41:-5:5", "20:0:5", "7:-1:0.5"])
+def test_sweep_reference_integrates_to_one_over_its_bins(tmp_path, bins):
+    out = tmp_path / "sw"
+    code = run(["sweep", "--n", 20, "--epsilon", 0, 1, "--realizations", 2, "--t-samples", 2,
+                "--bins", bins, "--out", out, "--jobs", 1])
+    assert code == 0
+    for name in ("hist_eps0.csv", "hist_eps1.csv"):
+        _, _, rows = read_table(out / name)
+        widths = rows[:, 1] - rows[:, 0]
+        assert abs(np.sum(rows[:, 4] * widths) - 1.0) < 1e-12
+        assert abs(np.sum(rows[:, 3] * widths) - 1.0) < 1e-12  # as the arm's histogram
 
 
 def test_failed_sweep_writes_nothing(tmp_path, capsys):
@@ -598,23 +632,21 @@ def test_cli_module_is_not_a_command(tmp_path):
 
 
 def test_parse_bin_spec():
-    edges = parse_bin_spec("41:-5:5")
+    edges = parse_bin_spec("41:-5:5", (0.0, 1.0))  # a given range wins over the command's
     assert len(edges) == 42 and edges[0] == -5.0 and edges[-1] == 5.0
-    edges = parse_bin_spec("10", default_range=(0.0, 1.0))
-    assert len(edges) == 11
+    edges = parse_bin_spec("10", (0.0, 1.0))
+    assert len(edges) == 11 and edges[0] == 0.0 and edges[-1] == 1.0
     with pytest.raises(ValidationError):
-        parse_bin_spec("10", default_range=None)
+        parse_bin_spec("a:b:c", (0.0, 1.0))
     with pytest.raises(ValidationError):
-        parse_bin_spec("a:b:c")
+        parse_bin_spec("10:5:-5", (0.0, 1.0))
     with pytest.raises(ValidationError):
-        parse_bin_spec("10:5:-5")
+        parse_bin_spec("0:0:1", (0.0, 1.0))
     with pytest.raises(ValidationError):
-        parse_bin_spec("0:0:1")
-    with pytest.raises(ValidationError):
-        parse_bin_spec("4:-inf:inf")
+        parse_bin_spec("4:-inf:inf", (0.0, 1.0))
     with pytest.raises(ValidationError, match="width overflows"):
-        parse_bin_spec("5:-1e308:1e308")
-    edges = parse_bin_spec("2:-8e307:8e307")  # the widest ranges still pass
+        parse_bin_spec("5:-1e308:1e308", (0.0, 1.0))
+    edges = parse_bin_spec("2:-8e307:8e307", (0.0, 1.0))  # the widest ranges still pass
     assert edges[0] == -8e307 and edges[-1] == 8e307
 
 

@@ -16,7 +16,7 @@ from levelflow import (
     spectral_frame_blocks,
 )
 
-from levelflow.dynamics import frame_from_p
+from levelflow.dynamics import DEGENERACY_SCALE, frame_from_p
 
 from conftest import goe_pair
 
@@ -162,10 +162,39 @@ def test_fd_oracle_raises_on_stencil_crossing():
 def test_degenerate_mask_flags_tiny_gaps():
     h1 = np.diag([0.0, 1e-12, 1.0])
     pair = RotatingPair(h1, np.zeros((3, 3)))
-    frame = spectral_frame(pair, 0.0, degeneracy_tol=1e-9)
+    frame = spectral_frame(pair, 0.0)
     assert list(frame.degenerate_mask) == [True, True, False]
     kept = select_levels(frame, np.arange(3))
     assert list(kept) == [2]
+
+
+def _diagonal_pair(diagonal) -> RotatingPair:
+    """A pair whose H(0) is diag(diagonal) exactly, so its spectrum is known to the bit."""
+    n = len(diagonal)
+    return RotatingPair(np.diag(np.asarray(diagonal, dtype=float)), np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("factor, flagged", [(0.99, True), (1.01, False)])
+def test_degeneracy_threshold_is_scale_of_the_frame_half_spread(factor, flagged):
+    # spectrum [-1, 0, gap, 1]: half-spread 1, so the tolerance is DEGENERACY_SCALE itself
+    gap = factor * DEGENERACY_SCALE
+    frame = spectral_frame(_diagonal_pair([-1.0, 0.0, gap, 1.0]), 0.0)
+    assert np.array_equal(frame.energies, [-1.0, 0.0, gap, 1.0])
+    assert list(frame.degenerate_mask) == [False, flagged, flagged, False]
+
+
+@pytest.mark.parametrize("factor, flagged", [(0.99, True), (1.01, False)])
+def test_per_block_degeneracy_threshold_is_the_block_half_spread(factor, flagged):
+    # blocks [-10, 10] and [0, 1, 1 + gap]: the second block's half-spread is (1 + gap) / 2,
+    # twenty times below the whole spectrum's 10
+    gap = factor * DEGENERACY_SCALE * 0.5
+    pair = _diagonal_pair([-10.0, 10.0, 0.0, 1.0, 1.0 + gap])
+    frame = spectral_frame_blocks(pair, 0.0, (2, 3))
+    assert np.array_equal(frame.energies, [-10.0, 10.0, 0.0, 1.0, 1.0 + gap])
+    assert list(frame.degenerate_mask) == [False, False, False, flagged, flagged]
+    # one frame of the whole pair, ascending [-10, 0, 1, 1 + gap, 10], takes the whole
+    # spread and flags the gap either way
+    assert list(spectral_frame(pair, 0.0).degenerate_mask) == [False, False, True, True, False]
 
 
 def test_integrate_motion_matches_direct_diagonalization():
@@ -249,5 +278,3 @@ def test_every_frame_comes_from_one_builder():
         assert np.array_equal(getattr(direct, name), getattr(built, name)), name
         assert np.array_equal(getattr(integrated, name), getattr(rebuilt, name)), name
     np.testing.assert_array_equal(integrated.velocities, np.diag(integrated.p_matrix))
-    with pytest.raises(ValidationError):
-        frame_from_p(energies, built.p_matrix, degeneracy_tol=0.0)

@@ -31,7 +31,6 @@ from levelflow import (
     window_levels,
 )
 from levelflow.cli import SAMPLE_COLUMNS, RunConfig, main, write_table
-from levelflow.dynamics import degeneracy_tolerance
 from levelflow.pipeline import (
     ArmParams,
     _map_realizations,
@@ -481,14 +480,13 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     model = arm.density_model()
-    tol = degeneracy_tolerance(model.support[1])
     window = window_levels(arm.blocks, arm.window)
     out = []
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, arm.blocks, tol)
+            frame = spectral_frame_blocks(pair, t, arm.blocks)
         else:
-            frame = spectral_frame(pair, t, tol)
+            frame = spectral_frame(pair, t)
         idx = select_levels(frame, window)
         idx = idx[model.interior(frame.energies[idx])]
         xdot, xddot = unfold_dynamics(model, frame, idx)
