@@ -159,14 +159,22 @@ def single_threaded_blas():
                 return
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one,
+    else every core, and 1 where even that count is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
     """Results of `task(arm, r)` for r = 0, 1, .. in order, each yielded as it arrives.
 
-    At most `jobs` workers run, and never more than the realizations or the cores."""
+    At most `jobs` workers run, and never more than the realizations or the usable CPUs."""
     if realizations < 1:
         raise ValidationError(f"realization count must be >= 1, got {realizations}")
     task, indices = functools.partial(task, arm), range(realizations)
-    workers = min(jobs, realizations, os.cpu_count() or 1)
+    workers = min(jobs, realizations, usable_cpus())
     if workers <= 1:
         return map(task, indices)
     return _pooled(task, indices, workers, max(realizations // (4 * workers), 1))

@@ -200,7 +200,7 @@ def fit_gamma(hist: Histogram) -> DistributionFit:
     objective at the minimum (quadratic approximation of the residual
     surface, residual variance estimated from the minimum itself).
     Requires at least 5 non-empty bins; refuses a minimum pinned to a
-    bracket edge.
+    bracket edge and a minimum where the objective has no positive curvature.
     """
     nonempty = int(np.sum(hist.density > 0))
     if nonempty < 5:
@@ -223,11 +223,11 @@ def fit_gamma(hist: Histogram) -> DistributionFit:
     nbins = len(density)
     step = max(1e-4 * gamma, 1e-8)
     second = (objective(gamma + step) - 2.0 * best + objective(gamma - step)) / step**2
-    if second > 0:
-        s2 = nbins * best / max(nbins - 1, 1)
-        uncertainty = float(np.sqrt(2.0 * s2 / (nbins * second)))
-    else:
-        uncertainty = float("nan")
+    if not second > 0:
+        raise NumericalError(f"no uncertainty: the objective has no positive curvature "
+                             f"at gamma={gamma:.6g}")
+    s2 = nbins * best / max(nbins - 1, 1)
+    uncertainty = float(np.sqrt(2.0 * s2 / (nbins * second)))
     return DistributionFit(
         gamma=float(gamma),
         objective=best,

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -427,6 +429,22 @@ def test_fit_binned_exact_table(tmp_path, capsys):
     assert abs(gamma - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_without_an_uncertainty_is_a_numerical_error(tmp_path, capsys, fmt):
+    # one bin 1e12 too high: the objective is flat to rounding, so its curvature is not positive
+    edges = np.linspace(-5.0, 5.0, 42)
+    density = model_bin_density(edges, 1.0)
+    density[20] += 1e12
+    data = tmp_path / "binned.txt"
+    np.savetxt(data, np.column_stack([0.5 * (edges[:-1] + edges[1:]), density]))
+    out = tmp_path / f"curve.{fmt}"
+    assert run(["fit", "--input", data, "--input-kind", "binned", "--format", fmt, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: no uncertainty") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fit_malformed_line_names_line_number(tmp_path, capsys):
     lines = [format(0.1 * i, ".6g") for i in range(1, 30)]
     lines[16] = "not-a-number"  # line 17
@@ -478,7 +496,7 @@ def _write_samples(path, samples, header=""):
     path.write_text(header + "\n".join(map(repr, samples.tolist())) + "\n")
 
 
-@pytest.mark.parametrize("header", ["", "# K samples\n"])  # the one-pass reader, the line loop
+@pytest.mark.parametrize("header", ["", "# K samples\n"])  # every chunk parsed whole, or one walked
 def test_fit_gives_the_same_from_shuffled_and_sorted_samples(tmp_path, capsys, header):
     samples = sample_gamma_dist(0.9, 20000, child_rng(48, 0))
     outputs = []
@@ -494,7 +512,7 @@ def test_fit_gives_the_same_from_shuffled_and_sorted_samples(tmp_path, capsys, h
 
 
 def test_fit_holds_its_samples_once(tmp_path, monkeypatch, capsys):
-    """Past the one-pass read, fit adds less than 1 MiB to the samples: they are sorted in place."""
+    """Past the read, fit adds less than 1 MiB to the samples: they are sorted in place."""
     data = tmp_path / "K.txt"
     _write_samples(data, sample_gamma_dist(0.8, 400_000, child_rng(47, 0)))
     assert run(["fit", "--input", data, "--out", tmp_path / "warm.csv"]) == 0  # lazy imports
@@ -523,14 +541,10 @@ def test_line_reader_collects_float64_values(tmp_path):
     data = tmp_path / "K.txt"
     _write_samples(data, samples, "# K samples\n")
 
-    def read():
-        with cli._open_text(str(data)) as handle:
-            return cli._read_fit_input_by_line(handle, "samples")
-
-    assert read().tobytes() == samples.tobytes()
+    assert cli._read_fit_input(str(data), "samples").tobytes() == samples.tobytes()
     tracemalloc.start()
     try:
-        read()
+        cli._read_fit_input(str(data), "samples")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -688,7 +702,7 @@ def test_chunked_writer_matches_per_value_format(tmp_path, monkeypatch, fmt, n_r
 
 
 def _fit_input_corpus():
-    """(name, bytes) files covering what the fast reader accepts and what it must hand on."""
+    """(name, bytes) files covering what a chunk of samples parses whole and what it must walk."""
     rng = np.random.default_rng(20261018)
     bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64, endpoint=False)
     subnormal = rng.integers(1, 2**52, size=200, dtype=np.uint64)
@@ -733,43 +747,97 @@ def _fit_input_corpus():
     return corpus
 
 
-def test_fast_fit_reader_matches_line_reader(tmp_path, monkeypatch):
-    by_line = cli._read_fit_input_by_line
-    fell_back = []
-    monkeypatch.setattr(cli, "_read_fit_input_by_line",
-                        lambda handle, kind: fell_back.append(handle.name) or by_line(handle, kind))
-
-    def read_by_line(path, kind):
+def _reference_fit_read(path, kind):
+    """The fit reader as one loop over the lines of the file, kept as the reference:
+    blank and whole-line `#` lines skipped, fields split at whitespace or commas and
+    read by ``float``, the first bad line named; a refusal is returned as its message."""
+    width, expected = (1, "one value per line") if kind == "samples" else (2, "'position density'")
+    values = []
+    try:
         with cli._open_text(path) as handle:
-            return by_line(handle, kind)
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    numbers = [float(f) for f in line.replace(",", " ").split()]
+                except ValueError:
+                    return f"{path}: line {lineno}: cannot parse {line!r}"
+                if len(numbers) != width:
+                    return f"{path}: line {lineno}: expected {expected}, got {len(numbers)} fields"
+                if not all(map(math.isfinite, numbers)):
+                    return f"{path}: line {lineno}: non-finite value"
+                values.extend(numbers)
+    except ValidationError as exc:  # not UTF-8
+        return str(exc)
+    data = np.array(values, dtype=float)
+    return data.reshape(-1, 2) if width == 2 and len(data) else data
 
-    def outcome(reader, path, kind):
-        try:
-            return reader(path, kind)
-        except ValidationError as exc:
-            return str(exc)
 
-    fast = set()
+def _assert_reads_as_reference(path, kind):
+    try:
+        got = cli._read_fit_input(str(path), kind)
+    except ValidationError as exc:
+        got = str(exc)
+    want = _reference_fit_read(str(path), kind)
+    if isinstance(want, str):
+        assert got == want, (path.name, kind)
+    else:
+        assert isinstance(got, np.ndarray), (path.name, kind, got)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (path.name, kind)
+
+
+def test_fast_fit_reader_matches_line_reader(tmp_path):
+    """Every corpus file reads, or is refused, as the reference loop reads it: same bits,
+    same message, for both input kinds."""
     for name, payload in _fit_input_corpus().items():
         path = tmp_path / f"{name}.txt"
         path.write_bytes(payload)
         for kind in ("samples", "binned"):
-            fell_back.clear()
-            got = outcome(cli._read_fit_input, str(path), kind)
-            if not fell_back:
-                fast.add((name, kind))
-            want = outcome(read_by_line, str(path), kind)
-            if isinstance(want, str):
-                assert got == want, (name, kind)
-            else:
-                assert isinstance(got, np.ndarray), (name, kind, got)
-                assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, kind)
-    plain = {"repr", "g17", "e40", "crlf", "bare_cr", "no_final_newline", "vt_ff_nbsp_single",
-             "blank_lines"}
-    assert {(name, "samples") for name in plain} | {
-        (name, "binned") for name in ("pairs", "tabs", "vt_ff_nbsp")} <= fast
-    assert ("comma_pairs", "binned") not in fast and ("interior_comment", "samples") not in fast
+            _assert_reads_as_reference(path, kind)
+
+
+#: Lines that send a chunk of samples to the line walk, or end the read.
+_CHUNK_EDGE_LINES = {"bad": "oops", "non_finite": "-inf", "comment": "# note", "blank": "  ",
+                     "pair": "1.5 2.5", "comma_pair": "1.5,2.5"}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("special", list(_CHUNK_EDGE_LINES))
+def test_fit_reader_agrees_at_every_chunk_edge(tmp_path, monkeypatch, ending, special):
+    """A special line at every position of a file read in chunks of about four lines, so it
+    stands first and last in a chunk; line numbers run on across chunks, and the file ends
+    with and without a final line break."""
+    monkeypatch.setattr(cli, "READ_CHUNK_CHARS", 64)
+    plain = [format(0.001 * i - 0.01, ".17g") for i in range(24)]  # about 20 characters a line
+    for at in range(len(plain) + 1):
+        lines = plain[:at] + [_CHUNK_EDGE_LINES[special]] + plain[at:]
+        for final in (ending, ""):
+            path = tmp_path / f"{special}_{at}_{len(final)}.txt"
+            path.write_bytes((ending.join(lines) + final).encode())
+            for kind in ("samples", "binned"):
+                _assert_reads_as_reference(path, kind)
+
+
+def test_fit_reader_walks_only_the_chunk_with_the_header(tmp_path, monkeypatch):
+    """A 400k-value file with a `#` header reads to the bits of the plain file, and only
+    the header's chunk is walked line by line: no second pass over the file."""
+    samples = sample_gamma_dist(0.8, 400_000, child_rng(50, 0))
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    _write_samples(plain, samples)
+    _write_samples(commented, samples, "# K samples\n")
+    walked = []
+
+    def counting_isfinite(x):
+        walked.append(x)
+        return math.isfinite(x)
+
+    monkeypatch.setattr(cli, "math", types.SimpleNamespace(isfinite=counting_isfinite))
+    assert cli._read_fit_input(str(plain), "samples").tobytes() == samples.tobytes()
+    assert walked == []
+    assert cli._read_fit_input(str(commented), "samples").tobytes() == samples.tobytes()
+    assert 0 < len(walked) <= cli.READ_CHUNK_CHARS // 10  # lines of 17 digits take 19-25 chars
 
 
 def test_non_utf8_fit_input_is_refused(tmp_path, capsys):
@@ -806,7 +874,7 @@ def test_fit_input_without_data_warns_nothing(tmp_path, capsys, recwarn, kind, t
 @pytest.mark.parametrize("bad, message", [("oops", "cannot parse 'oops'"), ("nan", "non-finite")])
 def test_fit_late_bad_value_names_its_line(tmp_path, capsys, bad, message):
     lines = [format(0.001 * i, ".17g") for i in range(1, 4000)]
-    lines[2999] = bad  # line 3000, after the fast reader has parsed 2,999 rows
+    lines[2999] = bad  # line 3000, after 2,999 good rows
     data = tmp_path / "late.txt"
     data.write_text("\n".join(lines) + "\n")
     assert run(["fit", "--input", data]) == 1

@@ -36,6 +36,7 @@ from levelflow.pipeline import (
     _map_realizations,
     pooled_eigenvalues,
     realization_rows,
+    usable_cpus,
 )
 from levelflow.statistics import STAT_BLOCK
 
@@ -177,7 +178,7 @@ def _blas_threads_task(*args):
 
 
 def test_workers_run_blas_on_one_thread(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+    monkeypatch.setattr(levelflow.pipeline, "usable_cpus", lambda: 2)  # two workers on any machine
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     threads = list(_map_realizations(_blas_threads_task, arm, realizations=2, jobs=2))
     if threads[0] is None:
@@ -425,17 +426,17 @@ def _realization_index(arm, realization):
     return realization
 
 
-@pytest.mark.parametrize("cores, jobs, realizations, workers", [
-    (3, 100_000, 100_000, 3),  # never more workers than cores
+@pytest.mark.parametrize("cpus, jobs, realizations, workers", [
+    (3, 100_000, 100_000, 3),  # never more workers than usable CPUs
     (3, 100_000, 2, 2),        # nor than realizations
     (8, 4, 50, 4),
-    (None, 100_000, 50, None),  # an unknown core count is one core: no pool
+    (1, 100_000, 50, None),  # one usable CPU: no pool
     (3, 1, 50, None),
     (3, 4, 1, None),
 ])
-def test_pool_workers_are_capped_at_the_cores(monkeypatch, cores, jobs, realizations, workers):
+def test_pool_workers_are_capped_at_the_cores(monkeypatch, cpus, jobs, realizations, workers):
     monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(levelflow.pipeline, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "started", [])
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     results = list(_map_realizations(_realization_index, arm, realizations, jobs))
@@ -445,11 +446,32 @@ def test_pool_workers_are_capped_at_the_cores(monkeypatch, cores, jobs, realizat
 
 def test_cli_jobs_past_the_cores_start_one_worker_per_core(tmp_path, monkeypatch):
     monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(levelflow.pipeline, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "started", [])
     assert main(["density", "--n", "10", "--epsilon", "1", "--realizations", "6",
                  "--jobs", "100000", "--out", str(tmp_path / "d.csv")]) == 0
     assert _RecordingPool.started == [2]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+def test_jobs_0_counts_the_cpus_the_process_may_run_on(tmp_path, monkeypatch):
+    # a process pinned to one CPU of a two-core host (`taskset -c 0`) starts no pool
+    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    assert usable_cpus() == 1
+    assert RunConfig(epsilon=(1.0,), jobs=0).jobs == 1
+    assert main(["density", "--n", "10", "--epsilon", "1", "--realizations", "6",
+                 "--jobs", "0", "--out", str(tmp_path / "d.csv")]) == 0
+    assert _RecordingPool.started == []
+
+
+@pytest.mark.parametrize("cores, cpus", [(3, 3), (None, 1)])  # an unknown count is one CPU
+def test_usable_cpus_without_affinity_counts_the_cores(monkeypatch, cores, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert usable_cpus() == cpus
 
 
 def test_pooled_eigenvalues_deterministic():
