@@ -29,7 +29,6 @@ from .errors import LevelflowError, ValidationError
 from .pipeline import (ArmParams, arm_summary, pooled_eigenvalues, run_arm, single_threaded_blas,
                        usable_cpus)
 from .statistics import (
-    Histogram,
     build_histogram,
     fit_gamma,
     gamma_pdf,
@@ -423,24 +422,24 @@ def _read_fit_input(path: str, kind: str) -> np.ndarray:
     return data.reshape(-1, 2) if width == 2 and len(data) else data
 
 
-def _histogram_from_pairs(pairs) -> Histogram:
-    """Histogram carrier for externally binned (center, density) tables.
-
-    Centers must be uniformly spaced; counts are unknown and stored as
-    zeros, so only density-based operations apply to the result.
-    """
+def _binned_density(pairs):
+    """(edges, density) of a table of (position, density) rows binned elsewhere: positions are
+    bin centers, strictly ascending and uniformly spaced, and densities are >= 0."""
     if len(pairs) < 2:
         raise ValidationError("binned input needs at least two (position, density) rows")
-    arr = np.asarray(pairs, dtype=float)
-    centers, density = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(centers) <= 0):
-        raise ValidationError("binned input positions must be strictly ascending")
+    centers, density = pairs[:, 0], pairs[:, 1]
     steps = np.diff(centers)
+    if np.any(steps <= 0):
+        raise ValidationError("binned input positions must be strictly ascending")
     if np.max(steps) - np.min(steps) > 1e-6 * np.mean(steps):
         raise ValidationError("binned input positions must be uniformly spaced")
+    if np.any(density < 0):
+        at = int(np.argmax(density < 0))  # the first negative row
+        raise ValidationError(f"binned input density {float(density[at])} at position "
+                              f"{float(centers[at])} is negative; densities must be >= 0")
     width = float(np.mean(steps))
     edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
-    return Histogram(edges, np.zeros(len(centers), dtype=int), 0, 0, 0, density)
+    return edges, density
 
 
 def cmd_fit(args) -> int:
@@ -462,19 +461,20 @@ def cmd_fit(args) -> int:
         # estimate of the underlying density on the range, which the
         # least-squares fit needs to recover gamma without tail bias.
         hist = build_histogram(samples, edges, truncated=False)
+        density = hist.density
     else:
         samples = None
-        hist = _histogram_from_pairs(data)
-    fit = fit_gamma(hist)
+        edges, density = _binned_density(data)
+    fit = fit_gamma(edges, density)
     print(f"gamma = {fit.gamma:.6g} +/- {fit.gamma_uncertainty:.2g}")
     print(f"objective = {fit.objective:.6g} (mean squared density residual, {fit.bins_used} bins)")
     if samples is not None:
-        chi2 = reduced_chi_square(hist, model_bin_density(hist.edges, fit.gamma))
+        chi2 = reduced_chi_square(hist, model_bin_density(edges, fit.gamma))
         print(f"reduced chi-square = {chi2:.4g}")
         print(f"KS vs fitted model = {ks_statistic(samples, fit.gamma):.4g}")
         print(f"KS vs universal    = {ks_statistic(samples, 1.0):.4g}")
     if args.out:
-        grid = np.linspace(hist.edges[0], hist.edges[-1], 201)
+        grid = np.linspace(edges[0], edges[-1], 201)
         rows = [grid, gamma_pdf(grid, fit.gamma), universal_pdf(grid)]
         config = {
             "input": args.input,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,6 +180,7 @@ def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
 
 
 def _pooled(task, indices, workers: int, chunksize: int):
+    import multiprocessing  # here, its one user: a --jobs 1 run or a fit never loads it
     with multiprocessing.Pool(workers, single_threaded_blas) as pool:
         yield from pool.imap(task, indices, chunksize=chunksize)
 

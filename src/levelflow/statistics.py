@@ -162,10 +162,6 @@ class DistributionFit:
     gamma_uncertainty: float
     bins_used: int
 
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValidationError(f"fitted gamma must be positive, got {self.gamma}")
-
 
 def model_bin_density(edges: np.ndarray, gamma: float) -> np.ndarray:
     """Bin-averaged model density: integral of gamma_pdf over each bin / width."""
@@ -191,22 +187,22 @@ def _golden_minimize(objective, lo: float, hi: float):
     return x, objective(x)
 
 
-def fit_gamma(hist: Histogram) -> DistributionFit:
-    """Least-squares fit of gamma against the binned density.
+def fit_gamma(edges, density) -> DistributionFit:
+    """Least-squares fit of gamma to a density, one value per bin of ascending edges.
 
-    Minimizes the mean squared residual between the histogram density
-    and the bin-averaged model over FIT_BRACKET by golden-section
-    search.  The one-sigma uncertainty comes from the curvature of the
-    objective at the minimum (quadratic approximation of the residual
-    surface, residual variance estimated from the minimum itself).
-    Requires at least 5 non-empty bins; refuses a minimum pinned to a
-    bracket edge and a minimum where the objective has no positive curvature.
+    Minimizes the mean squared residual between the density (a histogram's
+    or a table's binned elsewhere) and the bin-averaged model over
+    FIT_BRACKET by golden-section search.  The one-sigma uncertainty comes
+    from the curvature of the objective at the minimum (quadratic
+    approximation of the residual surface, residual variance estimated from
+    the minimum itself).  Requires at least 5 non-empty bins; refuses a
+    minimum pinned to a bracket edge, so gamma lies strictly inside the
+    bracket, and a minimum where the objective has no positive curvature.
     """
-    nonempty = int(np.sum(hist.density > 0))
+    edges, density = np.asarray(edges, dtype=float), np.asarray(density, dtype=float)
+    nonempty = int(np.sum(density > 0))
     if nonempty < 5:
         raise ValidationError(f"need at least 5 non-empty bins to fit, got {nonempty}")
-    edges = hist.edges
-    density = hist.density
 
     def objective(g: float) -> float:
         return float(np.mean((density - model_bin_density(edges, g)) ** 2))

@@ -37,7 +37,6 @@ import pytest
 from levelflow import (
     ArmParams,
     DensityModel,
-    Histogram,
     RotatingPair,
     build_histogram,
     child_rng,
@@ -302,21 +301,13 @@ def test_08_intermediate_narrowing_at_k3():
 
 def test_09_gamma_fit_recovery():
     edges = np.linspace(-5.0, 5.0, 42)
-    fit127 = fit_gamma(
-        build_histogram(sample_gamma_dist(1.27, 100000, child_rng(314, 0)), edges, truncated=False)
-    )
-    fit100 = fit_gamma(
-        build_histogram(sample_gamma_dist(1.0, 100000, child_rng(314, 1)), edges, truncated=False)
-    )
-    exact = Histogram(
-        edges=edges,
-        counts=np.zeros(41, dtype=int),
-        total=0,
-        underflow=0,
-        overflow=0,
-        density=model_bin_density(edges, 1.0),
-    )
-    fit_exact = fit_gamma(exact)
+    hist127 = build_histogram(sample_gamma_dist(1.27, 100000, child_rng(314, 0)), edges,
+                              truncated=False)
+    fit127 = fit_gamma(hist127.edges, hist127.density)
+    hist100 = build_histogram(sample_gamma_dist(1.0, 100000, child_rng(314, 1)), edges,
+                              truncated=False)
+    fit100 = fit_gamma(hist100.edges, hist100.density)
+    fit_exact = fit_gamma(edges, model_bin_density(edges, 1.0))
     dev127 = abs(fit127.gamma - 1.27)
     dev100 = abs(fit100.gamma - 1.0)
     dev_exact = abs(fit_exact.gamma - 1.0)

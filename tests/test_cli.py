@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levelflow import gamma_cdf, model_bin_density, sample_gamma_dist, child_rng
+from levelflow import fit_gamma, gamma_cdf, model_bin_density, sample_gamma_dist, child_rng
 from levelflow import lambda_from_epsilon
 from levelflow import cli
 from levelflow.cli import main, parse_bin_spec, dumps_json, format_float, write_table
@@ -427,6 +427,39 @@ def test_fit_binned_exact_table(tmp_path, capsys):
     assert code == 0
     gamma = float(capsys.readouterr().out.split("gamma = ")[1].split(" ")[0])
     assert abs(gamma - 1.0) < 1e-3
+
+
+def test_fit_gamma_on_a_binned_table_gives_the_bits_of_the_cli(tmp_path):
+    # the library fit of the edges and density the CLI builds equals the header's 17-digit gamma;
+    # the outer bins are empty, which a density of zero stands for
+    edges = np.linspace(-5.0, 5.0, 42)
+    density = model_bin_density(edges, 1.0) * (1.0 + 0.05 * np.cos(np.arange(41)))
+    density[:3] = density[-3:] = 0.0
+    data = tmp_path / "binned.txt"
+    np.savetxt(data, np.column_stack([0.5 * (edges[:-1] + edges[1:]), density]))
+    out = tmp_path / "curve.json"
+    assert run(["fit", "--input", data, "--input-kind", "binned", "--format", "json",
+                "--out", out]) == 0
+    header = json.loads(out.read_text())["config"]
+    fit = fit_gamma(*cli._binned_density(cli._read_fit_input(str(data), "binned")))
+    assert fit.gamma == header["gamma"] and abs(fit.gamma - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_refuses_a_negative_binned_density(tmp_path, capsys, fmt):
+    # a table that fits but for one negated bin, which would pull the fitted gamma to 1.96
+    edges = np.linspace(-5.0, 5.0, 42)
+    density = model_bin_density(edges, 1.0)
+    density[20] = -density[20]
+    data = tmp_path / "neg.txt"
+    np.savetxt(data, np.column_stack([0.5 * (edges[:-1] + edges[1:]), density]))
+    out = tmp_path / f"curve.{fmt}"
+    assert run(["fit", "--input", data, "--input-kind", "binned", "--format", fmt, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: binned input density {float(density[20])} at position 0.0 "
+                            "is negative; densities must be >= 0\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

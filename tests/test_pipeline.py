@@ -2,6 +2,7 @@ import ast
 import ctypes
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -328,6 +329,25 @@ def test_import_levelflow_loads_no_numpy():
     assert star == sorted(levelflow.__all__)
 
 
+def test_cli_loads_multiprocessing_only_for_a_pool(tmp_path):
+    # a --jobs 1 run and every fit run in the caller; only a pool needs multiprocessing
+    loaded = _child(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from levelflow.cli import main\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert main(['simulate', '--n', '20', '--epsilon', '1', '--realizations', '2',\n"
+        "             '--jobs', '1', '--out', out + '/s.csv']) == 0\n"
+        "loaded.append('multiprocessing' in sys.modules)\n"
+        "np.savetxt(out + '/k.txt', np.random.default_rng(1).standard_cauchy(2000))\n"
+        "assert main(['fit', '--input', out + '/k.txt', '--out', out + '/c.csv']) == 0\n"
+        "loaded.append('multiprocessing' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert loaded == [False, False, False]
+
+
 def test_run_arm_validation():
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     with pytest.raises(ValidationError):
@@ -435,7 +455,7 @@ def _realization_index(arm, realization):
     (3, 4, 1, None),
 ])
 def test_pool_workers_are_capped_at_the_cores(monkeypatch, cpus, jobs, realizations, workers):
-    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(levelflow.pipeline, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "started", [])
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
@@ -445,7 +465,7 @@ def test_pool_workers_are_capped_at_the_cores(monkeypatch, cpus, jobs, realizati
 
 
 def test_cli_jobs_past_the_cores_start_one_worker_per_core(tmp_path, monkeypatch):
-    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(levelflow.pipeline, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "started", [])
     assert main(["density", "--n", "10", "--epsilon", "1", "--realizations", "6",
@@ -456,7 +476,7 @@ def test_cli_jobs_past_the_cores_start_one_worker_per_core(tmp_path, monkeypatch
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
 def test_jobs_0_counts_the_cpus_the_process_may_run_on(tmp_path, monkeypatch):
     # a process pinned to one CPU of a two-core host (`taskset -c 0`) starts no pool
-    monkeypatch.setattr(levelflow.pipeline.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(_RecordingPool, "started", [])
