@@ -444,7 +444,7 @@ def _binned_density(pairs):
 
 def cmd_fit(args) -> int:
     """Fit the one-parameter curvature law to an external data file."""
-    check_bin_spec(args.bins)  # before the input is read, binned input included
+    edges = parse_bin_spec(args.bins, default_range=CURVATURE_RANGE)  # before the input is read
     # bytes that are not UTF-8 reach args.input as lone surrogates, which UTF-8 cannot write
     if any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in args.input):
         raise ValidationError(f"input name {args.input!r} cannot stand on a header line: "
@@ -456,7 +456,6 @@ def cmd_fit(args) -> int:
             raise ValidationError(f"only {len(data)} samples in {args.input}; need at least 10")
         samples = data
         samples.sort()  # in place: the histogram and fit ignore order, and KS reads it sorted
-        edges = parse_bin_spec(args.bins, default_range=CURVATURE_RANGE)
         # Non-truncated normalization keeps the binned density an unbiased
         # estimate of the underlying density on the range, which the
         # least-squares fit needs to recover gamma without tail bias.

@@ -119,14 +119,12 @@ def realization_rows(arm: ArmParams, realization: int):
         else:
             frame = spectral_frame(pair, t, window)
         idx = select_levels(frame, window)
+        kept, xdot, xddot = unfold_dynamics(model, frame, idx)
         counts["dropped_degenerate"] += len(window) - len(idx)
-        inside = model.interior(frame.energies[idx])
-        counts["dropped_edge"] += int(np.sum(~inside))
-        idx = idx[inside]
-        xdot, xddot = unfold_dynamics(model, frame, idx)
+        counts["dropped_edge"] += len(idx) - len(kept)
         chunks.append(np.column_stack([
-            np.full(len(idx), realization), idx, np.full(len(idx), t), frame.energies[idx],
-            frame.velocities[idx], frame.curvatures[idx], xdot, xddot,
+            np.full(len(kept), realization), kept, np.full(len(kept), t), frame.energies[kept],
+            frame.velocities[kept], frame.curvatures[kept], xdot, xddot,
         ]))
     return np.concatenate(chunks), counts
 

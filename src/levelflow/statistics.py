@@ -93,11 +93,12 @@ class Histogram:
     """Binned samples with half-open bins [e_i, e_{i+1}).
 
     total counts only the in-range samples; underflow/overflow are kept
-    separately.  With truncated normalization (the default) the density
-    integrates to 1 over the binned range; with truncated=False its
-    denominator, norm_count, includes the out-of-range tallies, making
-    the density an unbiased estimate of the underlying density on the
-    range, which is what distribution fitting needs.
+    separately.  norm_count is the count the density was divided by, as
+    :func:`build_histogram` chose it: total under truncated normalization,
+    so the density integrates to 1 over the binned range, else every
+    sample, out-of-range tallies included, so the density is an unbiased
+    estimate of the underlying density on the range, which is what
+    distribution fitting needs.
     """
 
     edges: np.ndarray
@@ -105,13 +106,8 @@ class Histogram:
     total: int
     underflow: int
     overflow: int
+    norm_count: int
     density: np.ndarray
-    truncated: bool = True
-
-    @property
-    def norm_count(self) -> int:
-        """The count the density is taken over: in-range only when truncated, else all."""
-        return self.total if self.truncated else self.total + self.underflow + self.overflow
 
     @property
     def widths(self) -> np.ndarray:
@@ -146,11 +142,11 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     total = int(counts.sum())
     if total + underflow + overflow != len(samples):
         raise ValidationError("cannot histogram NaN samples")
-    hist = Histogram(edges, counts, total, underflow, overflow, None, truncated)  # density next
-    if hist.norm_count == 0:
+    norm_count = total if truncated else len(samples)
+    if norm_count == 0:
         raise ValidationError("no samples to normalize the histogram density")
-    hist.density = counts / (hist.norm_count * hist.widths)
-    return hist
+    density = counts / (norm_count * np.diff(edges))
+    return Histogram(edges, counts, total, underflow, overflow, norm_count, density)
 
 
 @dataclass
@@ -195,11 +191,15 @@ def fit_gamma(edges, density) -> DistributionFit:
     FIT_BRACKET by golden-section search.  The one-sigma uncertainty comes
     from the curvature of the objective at the minimum (quadratic
     approximation of the residual surface, residual variance estimated from
-    the minimum itself).  Requires at least 5 non-empty bins; refuses a
-    minimum pinned to a bracket edge, so gamma lies strictly inside the
-    bracket, and a minimum where the objective has no positive curvature.
+    the minimum itself).  Requires one edge more than densities and at
+    least 5 non-empty bins; refuses a minimum pinned to a bracket edge, so
+    gamma lies strictly inside the bracket, and a minimum where the
+    objective has no positive curvature.
     """
     edges, density = np.asarray(edges, dtype=float), np.asarray(density, dtype=float)
+    if density.ndim != 1 or edges.shape != (len(density) + 1,):
+        raise ValidationError(f"need one bin edge more than densities, got {edges.size} edges "
+                              f"and {density.size} densities")
     nonempty = int(np.sum(density > 0))
     if nonempty < 5:
         raise ValidationError(f"need at least 5 non-empty bins to fit, got {nonempty}")

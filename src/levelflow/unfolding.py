@@ -113,23 +113,15 @@ def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarr
     Chain rule through the unfolding map:
         xdot  = rho(E) Edot
         xddot = rho(E) Eddot + (d rho / dE) Edot^2
-    Returns (xdot, xddot) for the selected levels (all by default).
-    Raises if a retained level is not in the model's interior, where
-    the density slope is finite.
+    Of the given levels (all by default) it keeps those in the model's
+    interior, where the density slope is finite, drops the rest and
+    returns the kept levels first: (kept, xdot, xddot).
     """
-    if indices is None:
-        indices = np.arange(frame.dim)
-    e = frame.energies[indices]
-    if not np.all(model.interior(e)):
-        worst = float(np.max(np.abs(e)))
-        raise ValidationError(
-            f"retained level at |E|={worst:.6g} is closer to the support edge "
-            f"R={model.support[1]:.6g} than the margin {EDGE_MARGIN:g} allows"
-        )
+    indices = np.arange(frame.dim) if indices is None else np.asarray(indices)
+    kept = indices[model.interior(frame.energies[indices])]
+    e, v = frame.energies[kept], frame.velocities[kept]
     rho = model.density(e)
-    xdot = rho * frame.velocities[indices]
-    xddot = rho * frame.curvatures[indices] + model.slope(e) * frame.velocities[indices] ** 2
-    return xdot, xddot
+    return kept, rho * v, rho * frame.curvatures[kept] + model.slope(e) * v**2
 
 
 def select_levels(frame: SpectralFrame, window: np.ndarray) -> np.ndarray:

@@ -98,6 +98,20 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     assert counts["dropped_edge"] > 0
     assert np.all(arm.density_model().interior(rows[:, 3]))
     assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
+    # walked frame by frame: each selected level outside the interior is one dropped_edge,
+    # and the rows are the levels unfold_dynamics keeps, the count the benchmark reads
+    rng = child_rng(arm.seed, arm.eps_index, 0)
+    pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
+    model = arm.density_model()
+    window = window_levels(arm.blocks, arm.window)
+    outside = kept = 0
+    for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
+        frame = spectral_frame_blocks(pair, t, arm.blocks) if arm.per_block else spectral_frame(pair, t)
+        idx = select_levels(frame, window)
+        outside += int(np.sum(~model.interior(frame.energies[idx])))
+        kept += len(unfold_dynamics(model, frame, idx)[0])
+    assert counts["dropped_edge"] == outside
+    assert len(rows) == kept
 
 
 def _assert_run_arm_is_the_realizations_rows(arm: ArmParams, realizations: int, results: list):
@@ -529,11 +543,9 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
             frame = spectral_frame_blocks(pair, t, arm.blocks)
         else:
             frame = spectral_frame(pair, t)
-        idx = select_levels(frame, window)
-        idx = idx[model.interior(frame.energies[idx])]
-        xdot, xddot = unfold_dynamics(model, frame, idx)
-        out.append(np.column_stack([frame.energies[idx], frame.velocities[idx],
-                                    frame.curvatures[idx], xdot, xddot]))
+        kept, xdot, xddot = unfold_dynamics(model, frame, select_levels(frame, window))
+        out.append(np.column_stack([frame.energies[kept], frame.velocities[kept],
+                                    frame.curvatures[kept], xdot, xddot]))
     return np.concatenate(out)
 
 

@@ -146,8 +146,10 @@ def test_build_histogram_half_open_bins():
 def test_build_histogram_normalization_modes():
     samples = np.array([-0.5, 0.5, 3.0, 4.0])
     truncated = build_histogram(samples, [-1.0, 0.0, 1.0])
+    assert truncated.norm_count == 2  # the in-range samples
     assert abs(np.sum(truncated.density * truncated.widths) - 1.0) < 1e-12
     full = build_histogram(samples, [-1.0, 0.0, 1.0], truncated=False)
+    assert full.norm_count == 4  # every sample, the two overflows included
     assert abs(np.sum(full.density * full.widths) - 0.5) < 1e-12
 
 
@@ -217,6 +219,16 @@ def test_fit_gamma_errors():
     # data far outside the bracket drives the minimum into the edge
     with pytest.raises(NumericalError):
         fit_gamma(*exact_table(30.0, edges=np.linspace(-100, 100, 42)))
+
+
+def test_fit_gamma_refuses_edges_that_do_not_bound_the_densities():
+    edges, density = exact_table(1.0)
+    # the 41 bin centers in place of the 42 edges, one per density: one edge short
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    with pytest.raises(ValidationError, match="got 41 edges and 41 densities"):
+        fit_gamma(centers, density)
+    with pytest.raises(ValidationError, match="got 42 edges and 40 densities"):
+        fit_gamma(edges, density[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def test_unfold_dynamics_trivial_cases():
     model = DensityModel(n=10, alpha=0.5, lam=1.0)
     frame = spectral_frame(goe_pair(10, seed=61), 0.4)
     idx = select_levels(frame, window_levels((10,), 0.5))
-    xdot, xddot = unfold_dynamics(model, frame, idx)
+    kept, xdot, xddot = unfold_dynamics(model, frame, idx)
+    assert np.array_equal(kept, idx)  # central levels are all interior
     rho = model.density(frame.energies[idx])
     slope = model.slope(frame.energies[idx])
     np.testing.assert_allclose(xdot, rho * frame.velocities[idx], rtol=1e-14)
@@ -134,7 +135,7 @@ def test_unfold_dynamics_trivial_cases():
     # with zero velocity the slope term drops: xddot = rho * Eddot
     flat = spectral_frame(goe_pair(10, seed=61), 0.4)
     flat.velocities = np.zeros_like(flat.velocities)
-    xdot0, xddot0 = unfold_dynamics(model, flat, idx)
+    _, xdot0, xddot0 = unfold_dynamics(model, flat, idx)
     np.testing.assert_allclose(xdot0, 0.0, atol=0.0)
     np.testing.assert_allclose(xddot0, rho * flat.curvatures[idx], rtol=1e-14)
     # at the band centre the density slope vanishes
@@ -150,7 +151,8 @@ def test_unfold_dynamics_chain_rule_oracle():
     t, delta = 0.9, 1e-4
     frame = spectral_frame(pair, t)
     idx = select_levels(frame, window_levels((n,), 0.5))
-    xdot, xddot = unfold_dynamics(model, frame, idx)
+    kept, xdot, xddot = unfold_dynamics(model, frame, idx)
+    assert np.array_equal(kept, idx)
     x_minus = model.count(np.linalg.eigvalsh(pair.h1 * np.cos(t - delta) + pair.h2 * np.sin(t - delta)))[idx]
     x_center = model.count(frame.energies)[idx]
     x_plus = model.count(np.linalg.eigvalsh(pair.h1 * np.cos(t + delta) + pair.h2 * np.sin(t + delta)))[idx]
@@ -164,8 +166,15 @@ def test_unfold_dynamics_edge_guard():
     model = DensityModel(n=4, alpha=0.5, lam=1.0)
     frame = spectral_frame(goe_pair(4, seed=63), 0.2)
     frame.energies = np.array([-1.0, 0.0, 1.0, model.radius * 0.9999])
-    with pytest.raises(ValidationError):
-        unfold_dynamics(model, frame)
+    kept, xdot, xddot = unfold_dynamics(model, frame)
+    assert kept.tolist() == [0, 1, 2]  # level 3 lies inside the edge margin
+    # the kept levels carry the bits of a call given only the interior levels
+    inside = np.arange(4)[model.interior(frame.energies)]
+    _, xdot_in, xddot_in = unfold_dynamics(model, frame, inside)
+    assert np.array_equal(xdot, xdot_in) and np.array_equal(xddot, xddot_in)
+    # a selection of edge levels only leaves three empty arrays
+    for out in unfold_dynamics(model, frame, np.array([3])):
+        assert len(out) == 0
 
 
 def test_rescale_hand_example():
