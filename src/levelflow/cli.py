@@ -60,6 +60,9 @@ class RunConfig:
     The one table of run parameters: each field is a flag and a --config
     key, every field but EXECUTION_FIELDS goes into the file headers, and
     the fields ArmParams also has go into each arm, with ArmParams' defaults.
+    Construction checks them once and keeps two plain attributes, not fields:
+    `arms`, the ArmParams of each epsilon in order, and `bin_spec`, the
+    (count, range) of `bins`.  The pipeline checks the realization count.
     """
 
     n: int = _flag(100, "matrix dimension")
@@ -79,8 +82,6 @@ class RunConfig:
     def __post_init__(self):
         if self.m is None:
             self.m = self.n // 2
-        if self.realizations < 1:
-            raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
         if self.jobs < 0:
             raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
         if self.jobs == 0:
@@ -90,14 +91,10 @@ class RunConfig:
             raise ValidationError(f"epsilon values name output files, so they must differ "
                                   f"to 6 significant digits; got {shown}")
         check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
-        for eps_index in range(len(self.epsilon)):
-            self.arm(eps_index)  # ArmParams checks every arm value
-        check_bin_spec(self.bins)  # a bare COUNT is resolved by each command against its own range
-
-    def arm(self, eps_index: int) -> ArmParams:
-        """The validated arm of the eps_index-th epsilon."""
-        lam = lambda_from_epsilon(self.n, self.epsilon[eps_index])
-        return ArmParams(lam=lam, eps_index=eps_index, **{k: getattr(self, k) for k in _ARM_FIELDS})
+        shared = {k: getattr(self, k) for k in _ARM_FIELDS}
+        self.arms = tuple(ArmParams(lam=lambda_from_epsilon(self.n, eps), eps_index=i, **shared)
+                          for i, eps in enumerate(self.epsilon))
+        self.bin_spec = check_bin_spec(self.bins)  # a bare COUNT: each command's own range
 
     def header_dict(self, eps_index: int | None = None) -> dict:
         """Science configuration for file headers: the fields but EXECUTION_FIELDS, in order."""
@@ -107,9 +104,8 @@ class RunConfig:
             if f.name not in EXECUTION_FIELDS
         }
         if eps_index is not None:
-            eps = self.epsilon[eps_index]
-            out["epsilon"] = eps
-            out["lambda"] = lambda_from_epsilon(self.n, eps)
+            out["epsilon"] = self.epsilon[eps_index]
+            out["lambda"] = self.arms[eps_index].lam
         return out
 
 
@@ -214,9 +210,9 @@ def check_bin_spec(spec: str):
     return count, bin_range
 
 
-def parse_bin_spec(spec: str, default_range):
-    """Bin edges of a checked bin spec; a bare COUNT spans `default_range`, the command's own."""
-    count, bin_range = check_bin_spec(spec)
+def bin_edges(bin_spec, default_range):
+    """Bin edges of a checked (count, range) bin spec; a bare COUNT spans `default_range`."""
+    count, bin_range = bin_spec
     return np.linspace(*(bin_range or default_range), count + 1)
 
 
@@ -251,7 +247,7 @@ def _print_arm(summary: dict):
 
 def _run_arm(config: RunConfig, i: int):
     """(batch, summary) of arm i; the summary starts with epsilon as given."""
-    arm = config.arm(i)
+    arm = config.arms[i]
     batch, info = run_arm(arm, config.realizations, config.jobs)
     return batch, {"epsilon": config.epsilon[i], **arm_summary(arm, batch, info)}
 
@@ -285,9 +281,9 @@ def cmd_density(config: RunConfig) -> int:
     """Pool eigenvalues of one arm and compare them with the semicircle law."""
     if len(config.epsilon) != 1:
         raise ValidationError("density needs exactly one --epsilon value")
-    arm = config.arm(0)
+    arm = config.arms[0]
     model = arm.density_model()
-    edges = parse_bin_spec(config.bins, default_range=model.support)
+    edges = bin_edges(config.bin_spec, model.support)
     eigenvalues = pooled_eigenvalues(arm, config.realizations, config.jobs)
     # over all eigenvalues, as rho / n is normalized over the whole support, whatever the bins
     hist = build_histogram(eigenvalues, edges, truncated=False)
@@ -325,7 +321,7 @@ def cmd_sweep(config: RunConfig) -> int:
     """
     if len(config.epsilon) < 2:
         raise ValidationError("sweep needs at least two --epsilon values; use simulate for one")
-    edges = parse_bin_spec(config.bins, default_range=CURVATURE_RANGE)
+    edges = bin_edges(config.bin_spec, CURVATURE_RANGE)
     summaries, hists = [], []
     for i in range(len(config.epsilon)):
         batch, summary = _run_arm(config, i)
@@ -444,7 +440,7 @@ def _binned_density(pairs):
 
 def cmd_fit(args) -> int:
     """Fit the one-parameter curvature law to an external data file."""
-    edges = parse_bin_spec(args.bins, default_range=CURVATURE_RANGE)  # before the input is read
+    edges = bin_edges(check_bin_spec(args.bins), CURVATURE_RANGE)  # before the input is read
     # bytes that are not UTF-8 reach args.input as lone surrogates, which UTF-8 cannot write
     if any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in args.input):
         raise ValidationError(f"input name {args.input!r} cannot stand on a header line: "

@@ -16,7 +16,7 @@ import pytest
 from levelflow import fit_gamma, gamma_cdf, model_bin_density, sample_gamma_dist, child_rng
 from levelflow import lambda_from_epsilon
 from levelflow import cli
-from levelflow.cli import main, parse_bin_spec, dumps_json, format_float, write_table
+from levelflow.cli import main, bin_edges, check_bin_spec, dumps_json, format_float, write_table
 from levelflow.errors import ValidationError
 
 
@@ -649,6 +649,47 @@ def test_bad_bin_spec_is_refused_before_anything_is_written(tmp_path, capsys, co
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, epsilon, arms", [
+    ("simulate", [0, 1], 2), ("sweep", [0, 1], 2), ("density", [1], 1), ("fit", None, 0),
+])
+def test_a_run_parses_its_bins_once_and_builds_each_arm_once(tmp_path, monkeypatch, capsys,
+                                                             command, epsilon, arms):
+    calls = dict.fromkeys(("check_bin_spec", "ArmParams"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(cli, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    if command == "fit":
+        data = tmp_path / "k.txt"
+        _write_samples(data, sample_gamma_dist(1.0, 200, child_rng(3, 0)))
+        args = ["fit", "--input", data, "--bins", "11:-3:3"]
+    else:
+        args = [command, "--n", 20, "--epsilon", *epsilon, "--realizations", 2, "--t-samples", 1,
+                "--bins", 11, "--out", tmp_path / "out", "--jobs", 1]
+    assert run(args) == 0
+    assert calls == {"check_bin_spec": 1, "ArmParams": arms}
+
+
+@pytest.mark.parametrize("command", ["simulate", "density", "sweep"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_zero_realizations_is_refused_before_anything_is_written(tmp_path, capsys, command, how):
+    out = tmp_path / "out"
+    out.mkdir()
+    epsilon = [0, 1] if command == "sweep" else [1]
+    args = [command, "--n", 20, "--epsilon", *epsilon, "--t-samples", 1, "--jobs", 1,
+            "--out", out / ("sw" if command == "sweep" else "x.csv")]
+    if how == "config":
+        conf = tmp_path / "conf.txt"
+        conf.write_text("realizations = 0\n")
+        args += ["--config", conf]
+    else:
+        args += ["--realizations", 0]
+    assert run(args) == 1
+    assert capsys.readouterr() == ("", "error: realization count must be >= 1, got 0\n")
+    assert list(out.iterdir()) == []  # sweep made no directory
+
+
 @pytest.mark.parametrize("spec", ["garbage", "0", "10:5:-5"])
 @pytest.mark.parametrize("case", ["binned", "missing input"])
 def test_fit_checks_its_bin_spec_before_it_reads_the_input(tmp_path, capsys, spec, case):
@@ -679,21 +720,23 @@ def test_cli_module_is_not_a_command(tmp_path):
 
 
 def test_parse_bin_spec():
-    edges = parse_bin_spec("41:-5:5", (0.0, 1.0))  # a given range wins over the command's
+    assert check_bin_spec("41:-5:5") == (41, (-5.0, 5.0))
+    assert check_bin_spec("10") == (10, None)
+    edges = bin_edges((41, (-5.0, 5.0)), (0.0, 1.0))  # a given range wins over the command's
     assert len(edges) == 42 and edges[0] == -5.0 and edges[-1] == 5.0
-    edges = parse_bin_spec("10", (0.0, 1.0))
+    edges = bin_edges((10, None), (0.0, 1.0))
     assert len(edges) == 11 and edges[0] == 0.0 and edges[-1] == 1.0
     with pytest.raises(ValidationError):
-        parse_bin_spec("a:b:c", (0.0, 1.0))
+        check_bin_spec("a:b:c")
     with pytest.raises(ValidationError):
-        parse_bin_spec("10:5:-5", (0.0, 1.0))
+        check_bin_spec("10:5:-5")
     with pytest.raises(ValidationError):
-        parse_bin_spec("0:0:1", (0.0, 1.0))
+        check_bin_spec("0:0:1")
     with pytest.raises(ValidationError):
-        parse_bin_spec("4:-inf:inf", (0.0, 1.0))
+        check_bin_spec("4:-inf:inf")
     with pytest.raises(ValidationError, match="width overflows"):
-        parse_bin_spec("5:-1e308:1e308", (0.0, 1.0))
-    edges = parse_bin_spec("2:-8e307:8e307", (0.0, 1.0))  # the widest ranges still pass
+        check_bin_spec("5:-1e308:1e308")
+    edges = bin_edges(check_bin_spec("2:-8e307:8e307"), (0.0, 1.0))  # the widest ranges still pass
     assert edges[0] == -8e307 and edges[-1] == 8e307
 
 

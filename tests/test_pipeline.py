@@ -43,11 +43,11 @@ from levelflow.statistics import STAT_BLOCK
 
 
 def test_arm_from_epsilon_maps_coupling():
-    arm = RunConfig(n=100, m=50, alpha=0.5, epsilon=(0.32,), seed=1).arm(0)
+    arm, = RunConfig(n=100, m=50, alpha=0.5, epsilon=(0.32,), seed=1).arms
     assert arm.lam == pytest.approx(0.032, rel=1e-15)
     assert arm.epsilon == pytest.approx(0.32, rel=1e-12)
     with pytest.raises(ValidationError):
-        RunConfig(n=100, m=50, alpha=0.5, epsilon=(11.0,), seed=1).arm(0)
+        RunConfig(n=100, m=50, alpha=0.5, epsilon=(11.0,), seed=1)
 
 
 def test_per_block_engages_only_at_zero_coupling():
@@ -237,7 +237,7 @@ def test_cli_curvatures_match_unpinned_blas_bit_for_bit(tmp_path):
         "from levelflow import run_arm\n"
         "from levelflow.cli import RunConfig\n"
         "from test_pipeline import _blas_threads_task\n"
-        "arm = RunConfig(n=200, epsilon=(1.0,), t_samples=2, seed=7).arm(0)\n"
+        "arm, = RunConfig(n=200, epsilon=(1.0,), t_samples=2, seed=7).arms\n"
         "batch, _ = run_arm(arm, 2)\n"
         f"np.save({str(tmp_path / 'K.npy')!r}, batch.rescaled)\n"
         "print(json.dumps([_blas_threads_task(None)]))\n",
