@@ -282,7 +282,7 @@ def cmd_density(config: RunConfig) -> int:
     if len(config.epsilon) != 1:
         raise ValidationError("density needs exactly one --epsilon value")
     arm = config.arms[0]
-    model = arm.density_model()
+    model = arm.model
     edges = bin_edges(config.bin_spec, model.support)
     eigenvalues = pooled_eigenvalues(arm, config.realizations, config.jobs)
     # over all eigenvalues, as rho / n is normalized over the whole support, whatever the bins

@@ -54,7 +54,9 @@ class ArmParams:
     eps_index: the arm's index in the child streams, t_samples: path
     positions per realization, window: central share of levels kept.
     The scaled coupling eps = sqrt(n) * lam is derived on the fly, never
-    stored.
+    stored.  Construction keeps what every realization reads: `model`, the
+    DensityModel that checks n, alpha and lam, and `levels`, the window
+    levels of its blocks; neither is a field, so ==, hash and repr skip them.
     """
 
     n: int
@@ -67,7 +69,7 @@ class ArmParams:
     window: float = 0.5
 
     def __post_init__(self):
-        self.density_model()  # checks n >= 1, alpha and lam
+        object.__setattr__(self, "model", DensityModel(n=self.n, alpha=self.alpha, lam=self.lam))
         if not 1 <= self.m < self.n:
             raise ValidationError(f"block size must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
         if self.t_samples < 1:
@@ -76,6 +78,7 @@ class ArmParams:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.window <= 1.0:
             raise ValidationError(f"window must lie in (0, 1], got {self.window}")
+        object.__setattr__(self, "levels", window_levels(self.blocks, self.window))
 
     @property
     def per_block(self) -> bool:
@@ -89,9 +92,6 @@ class ArmParams:
     @property
     def epsilon(self) -> float:
         return float(np.sqrt(self.n) * self.lam)
-
-    def density_model(self) -> DensityModel:
-        return DensityModel(n=self.n, alpha=self.alpha, lam=self.lam)
 
 
 def realization_rows(arm: ArmParams, realization: int):
@@ -107,20 +107,17 @@ def realization_rows(arm: ArmParams, realization: int):
     """
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
-    ts = rng.uniform(0.0, 2.0 * np.pi, arm.t_samples)
-    model = arm.density_model()
-    window = window_levels(arm.blocks, arm.window)
 
     chunks = []
     counts = {"dropped_degenerate": 0, "dropped_edge": 0}
-    for t in ts:
+    for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, arm.blocks, window)
+            frame = spectral_frame_blocks(pair, t, arm.blocks, arm.levels)
         else:
-            frame = spectral_frame(pair, t, window)
-        idx = select_levels(frame, window)
-        kept, xdot, xddot = unfold_dynamics(model, frame, idx)
-        counts["dropped_degenerate"] += len(window) - len(idx)
+            frame = spectral_frame(pair, t, arm.levels)
+        idx = select_levels(frame, arm.levels)
+        kept, xdot, xddot = unfold_dynamics(arm.model, frame, idx)
+        counts["dropped_degenerate"] += len(arm.levels) - len(idx)
         counts["dropped_edge"] += len(idx) - len(kept)
         chunks.append(np.column_stack([
             np.full(len(kept), realization), kept, np.full(len(kept), t), frame.energies[kept],
@@ -192,7 +189,7 @@ def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     the key-wise sum of the realizations' counts (see :func:`realization_rows`).
     """
     results = _map_realizations(realization_rows, arm, realizations, jobs)
-    rows = np.empty((realizations * arm.t_samples * len(window_levels(arm.blocks, arm.window)), 8))
+    rows = np.empty((realizations * arm.t_samples * len(arm.levels), 8))
     filled, info = 0, {}
     for chunk, counts in results:
         rows[filled : filled + len(chunk)] = chunk

@@ -45,8 +45,8 @@ def universal_pdf(k) -> np.ndarray | float:
 
 def gamma_pdf(k, gamma: float) -> np.ndarray | float:
     """One-parameter curvature density with mean absolute value gamma."""
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     k = np.asarray(k, dtype=float)
     out = 0.5 / (gamma * (1.0 + (k / gamma) ** 2) ** 1.5)
     return out if out.ndim else float(out)
@@ -54,8 +54,8 @@ def gamma_pdf(k, gamma: float) -> np.ndarray | float:
 
 def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
     """Closed-form CDF of :func:`gamma_pdf`."""
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     k = np.asarray(k, dtype=float)
     # 0.5 * (1 + z / sqrt(1 + z**2)) in place in two buffers, z and out, neither of them k
     z, out = np.empty_like(k), np.empty_like(k)
@@ -80,8 +80,8 @@ def _blocks(values: np.ndarray):
 
 def sample_gamma_dist(gamma: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF sampler: K = gamma * u / sqrt(1 - u^2), u uniform(-1, 1)."""
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     u = rng.uniform(-1.0, 1.0, n)
@@ -121,15 +121,15 @@ class Histogram:
 def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     """Histogram samples over ascending edges.
 
-    Raises on fewer than 2 edges, non-ascending edges, a NaN sample, or
-    (for the truncated default) an empty in-range sample set, for which
-    the density would be undefined.
+    Raises on fewer than 2 edges, edges not finite and strictly ascending
+    (their span finite too), a NaN sample, or (for the truncated default)
+    an empty in-range sample set, for which the density would be undefined.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2:
         raise ValidationError("need at least two ascending bin edges")
-    if np.any(np.diff(edges) <= 0):
-        raise ValidationError("bin edges must be strictly ascending")
+    if not (np.all(edges[1:] > edges[:-1]) and float(edges[-1]) - float(edges[0]) < np.inf):
+        raise ValidationError("bin edges must be finite and strictly ascending, over a finite span")
     samples = np.asarray(samples, dtype=float).ravel()
     counts = np.zeros(len(edges) - 1, dtype=int)
     underflow = overflow = 0
@@ -324,8 +324,8 @@ def tail_exponent(samples, k_min: float, k_max: float):
     100 samples inside the window and a window ratio of at least 5, and
     no NaN sample.  Returns (exponent, standard_error).
     """
-    if not 0 < k_min < k_max:
-        raise ValidationError(f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
+    if not 0 < k_min < k_max < np.inf:
+        raise ValidationError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
     if k_max / k_min < 5.0:
         raise ValidationError(
             f"window ratio must be at least 5, got {k_max / k_min:.3g}"

@@ -9,9 +9,11 @@ radius follows from the second moment of the entry distribution,
 valid for the symmetric block split n = 2m and, for any split, in the
 single-GOE limit lam = 1.  At lam = 0 with m != n/2 the density is two
 semicircles, of radii sqrt(m / alpha) and sqrt((n - m) / alpha), which
-this model does not describe (ROADMAP item 1).  Unfolding integrates rho
-in closed form.  Velocities and curvatures are pushed through the unfolding
-map by the chain rule, rescaled against the batch velocity moments
+this model does not describe (ROADMAP item 1).  The pipeline never
+integrates rho: velocities and curvatures are pushed through the unfolding
+map x(E) by the chain rule, which needs only rho and its slope rho'
+(`count` is the closed-form x(E) the tests check the chain rule against).
+The unfolded dynamics are rescaled against the batch velocity moments
 
     K = (xddot - (<xdot xddot>/<xdot^2>) xdot) / (pi <xdot^2>),
 

@@ -204,7 +204,7 @@ def test_05_density_against_semicircle():
     """
     start = time.perf_counter()
     arm = ArmParams(n=100, m=50, alpha=0.5, lam=0.032, seed=505)
-    model = arm.density_model()
+    model = arm.model
     eigenvalues = pooled_eigenvalues(arm, 500, jobs=JOBS)
     elapsed = time.perf_counter() - start
     edges = np.linspace(-model.radius, model.radius, 42)

@@ -4,10 +4,11 @@ import importlib
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,36 @@ def test_per_block_engages_only_at_zero_coupling():
     assert not ArmParams(n=10, m=5, alpha=0.5, lam=1e-3, seed=0).per_block
 
 
+def test_an_arm_builds_its_model_and_window_once(tmp_path, monkeypatch):
+    arm = ArmParams(n=20, m=10, alpha=0.5, lam=0.5, seed=1, t_samples=1)
+    built = dict.fromkeys(("DensityModel", "window_levels"), 0)
+    for name in built:
+        def counted(*args, name=name, original=getattr(levelflow.pipeline, name), **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(levelflow.pipeline, name, counted)
+    run_arm(arm, 6, jobs=1)
+    assert built == {"DensityModel": 0, "window_levels": 0}
+    # the command's one arm builds the one model its histogram and summary read
+    assert main(["density", "--n", "20", "--epsilon", "1", "--realizations", "2",
+                 "--jobs", "1", "--out", str(tmp_path / "d.csv")]) == 0
+    assert built["DensityModel"] == 1
+
+
+def test_an_arms_model_and_levels_follow_its_fields():
+    arm = ArmParams(n=20, m=8, alpha=0.5, lam=0.3, seed=1)
+    assert [f.name for f in fields(ArmParams)] == [
+        "n", "m", "lam", "alpha", "seed", "eps_index", "t_samples", "window"]
+    copy = pickle.loads(pickle.dumps(arm))  # how a pool worker gets its arm
+    assert copy == arm and copy.model == arm.model
+    np.testing.assert_array_equal(copy.levels, arm.levels)
+    twin = ArmParams(n=20, m=8, alpha=0.5, lam=0.3, seed=1)
+    assert twin == arm and hash(twin) == hash(arm) and repr(twin) == repr(arm)
+    np.testing.assert_array_equal(replace(arm, lam=0.0).levels, window_levels((8, 12), 0.5))
+    np.testing.assert_array_equal(arm.levels, window_levels((20,), 0.5))
+    assert replace(arm, lam=0.5).model.radius != arm.model.radius
+
+
 def test_a_tiny_coupling_runs_on_full_frames():
     # the arm draws a coupled matrix, so its levels are those of the whole H(t), in ascending order
     arm = ArmParams(n=40, m=20, alpha=0.5, lam=1e-7, seed=3, t_samples=2)
@@ -96,13 +127,13 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
     rows, counts = realization_rows(arm, 0)
     assert counts["dropped_edge"] > 0
-    assert np.all(arm.density_model().interior(rows[:, 3]))
+    assert np.all(arm.model.interior(rows[:, 3]))
     assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
     # walked frame by frame: each selected level outside the interior is one dropped_edge,
     # and the rows are the levels unfold_dynamics keeps, the count the benchmark reads
     rng = child_rng(arm.seed, arm.eps_index, 0)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
-    model = arm.density_model()
+    model = arm.model
     window = window_levels(arm.blocks, arm.window)
     outside = kept = 0
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
@@ -535,7 +566,7 @@ def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
     """(E, Edot, Eddot, xdot, xddot) of one realization, every frame evaluated on all rows."""
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
-    model = arm.density_model()
+    model = arm.model
     window = window_levels(arm.blocks, arm.window)
     out = []
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):

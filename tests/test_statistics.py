@@ -287,6 +287,8 @@ def test_tail_exponent_validation():
         tail_exponent(samples, 30.0, 300.0)  # not enough tail samples
     with pytest.raises(ValidationError):
         tail_exponent(samples, -1.0, 10.0)
+    with pytest.raises(ValidationError, match="k_max < inf"):
+        tail_exponent(samples, 3.0, np.inf)  # refused before numpy warns about the bins
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,28 @@ def test_infinite_samples_keep_their_meaning():
     assert ks_statistic([np.inf], 1.0) == 1.0
     hist = build_histogram([-np.inf, np.inf, 0.5, 1.0], [0.0, 1.0])
     assert (hist.total, hist.underflow, hist.overflow) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_a_width_outside_zero_to_infinity_is_refused(gamma):
+    # an infinite gamma used to give a pdf of 0, a CDF of 1/2, a KS distance of 1/2
+    # for any sample, zero bin densities and infinite samples
+    calls = [lambda: gamma_pdf(0.0, gamma), lambda: gamma_cdf(1.0, gamma),
+             lambda: ks_statistic([-0.5, 0.5], gamma),
+             lambda: model_bin_density(np.linspace(-5.0, 5.0, 42), gamma),
+             lambda: sample_gamma_dist(gamma, 5, child_rng(0))]
+    for call in calls:
+        with pytest.raises(ValidationError, match="gamma must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0, 1.0, np.nan], [np.nan, 0.0, 1.0], [-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf],
+    [0.0, np.inf, np.inf], [-1e308, 1e308],  # the last one's width overflows
+])
+def test_histogram_edges_must_be_finite(edges):
+    with pytest.raises(ValidationError, match="finite and strictly ascending"):
+        build_histogram([-0.5, 0.5, 0.5], edges)
 
 
 def traced_peak(call):
