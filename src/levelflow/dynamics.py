@@ -28,7 +28,7 @@ DEGENERACY_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class RotatingPair:
-    """Fixed endpoint matrices of the rotation path; both real symmetric, same dim."""
+    """Fixed endpoint matrices of the rotation path; both real symmetric, same dim >= 1."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -36,8 +36,8 @@ class RotatingPair:
     def __post_init__(self):
         h1 = np.asarray(self.h1, dtype=float)
         h2 = np.asarray(self.h2, dtype=float)
-        if h1.ndim != 2 or h1.shape[0] != h1.shape[1]:
-            raise ValidationError(f"h1 must be square, got shape {h1.shape}")
+        if h1.ndim != 2 or h1.shape[0] != h1.shape[1] or h1.size == 0:
+            raise ValidationError(f"h1 must be square and non-empty, got shape {h1.shape}")
         if h1.shape != h2.shape:
             raise ValidationError(f"h1 and h2 must share a shape, got {h1.shape} vs {h2.shape}")
         object.__setattr__(self, "h1", h1)
@@ -60,8 +60,7 @@ class SpectralFrame:
     velocities equal the diagonal of p_matrix exactly, and
     degenerate_mask flags levels whose nearest-neighbour gap fell below
     the degeneracy tolerance; their curvature is stored but untrusted.
-    Frames of selected rows hold nan for other levels.  Per-block frames
-    carry no p_matrix.
+    Per-block frames carry no p_matrix.
     """
 
     energies: np.ndarray
@@ -103,69 +102,56 @@ def _local_gaps(energies: np.ndarray) -> np.ndarray:
     return np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
 
 
-def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray, rows=None) -> np.ndarray:
-    """Closed-form curvatures from energies and the rotated perturbation matrix.
+def curvature_sums(energies: np.ndarray, p_matrix: np.ndarray) -> np.ndarray:
+    """Closed-form curvatures of every level from energies and the rotated perturbation matrix.
 
-    p_matrix holds the rows `rows` of P (all rows by default), the levels
-    whose curvatures are returned.  Exactly coincident levels contribute
-    nothing to each other's sum; any such level is flagged by the
-    degeneracy mask and its curvature is not to be trusted anyway.
+    Exactly coincident levels contribute nothing to each other's sum; any
+    such level is flagged by the degeneracy mask and its curvature is not
+    to be trusted anyway.
     """
-    rows = np.arange(len(energies)) if rows is None else rows
-    diff = energies[rows, None] - energies[None, :]
-    diff[np.arange(len(rows)), rows] = np.inf
-    diff[diff == 0.0] = np.inf
-    return -energies[rows] + 2.0 * np.sum(p_matrix * p_matrix / diff, axis=1)
+    diff = energies[:, None] - energies[None, :]
+    diff[diff == 0.0] = np.inf  # the diagonal, and exactly coincident levels
+    terms = p_matrix * p_matrix
+    terms /= diff
+    return -energies + 2.0 * np.sum(terms, axis=1)
 
 
-def frame_from_p(energies: np.ndarray, p: np.ndarray, rows=None) -> SpectralFrame:
+def frame_from_p(energies: np.ndarray, p: np.ndarray) -> SpectralFrame:
     """Frame of an ascending spectrum and its P = U^T Hdot U.
 
     A level is degenerate when its nearest-neighbour gap is below
     DEGENERACY_SCALE times the half-spread (E[-1] - E[0]) / 2 of this
     spectrum, with a positive floor so exactly coincident spectra are still
-    flagged.  rows, if given, are the levels whose velocities and
-    curvatures are evaluated; the others hold nan.
+    flagged.
     """
     tol = max(DEGENERACY_SCALE * 0.5 * (energies[-1] - energies[0]), np.finfo(float).tiny)
-    picked = np.arange(len(energies)) if rows is None else np.asarray(rows, dtype=int)
-    velocities, curvatures = np.full((2, len(energies)), np.nan)
-    velocities[picked] = p[picked, picked]
-    curvatures[picked] = curvature_sums(energies, p[picked], picked)
     mask = _local_gaps(energies) < tol
-    return SpectralFrame(energies, velocities, curvatures, p, mask)
+    return SpectralFrame(energies, np.diag(p).copy(), curvature_sums(energies, p), p, mask)
 
 
-def spectral_frame(pair: RotatingPair, t: float, rows=None) -> SpectralFrame:
+def spectral_frame(pair: RotatingPair, t: float) -> SpectralFrame:
     """Diagonalize H(t) and evaluate level velocities and curvatures (see
-    :func:`frame_from_p` for the degeneracy rule and rows).
-
-    P itself is formed in full: BLAS tiles and threads a product's rows
-    by its shape, so selected rows alone can differ in the last bit.
-    """
+    :func:`frame_from_p` for the degeneracy rule)."""
     energies, u = _eigh(hamiltonian_at(pair, t), f"H(t) at t={t}")
-    return frame_from_p(energies, u.T @ hamiltonian_rate(pair, t) @ u, rows)
+    return frame_from_p(energies, u.T @ hamiltonian_rate(pair, t) @ u)
 
 
-def spectral_frame_blocks(pair: RotatingPair, t: float, blocks: tuple, rows=None) -> SpectralFrame:
+def spectral_frame_blocks(pair: RotatingPair, t: float, blocks: tuple) -> SpectralFrame:
     """Per-block frame for exactly block-diagonal pairs (decoupled ensemble).
 
     Each diagonal block is diagonalized on its own, so curvature sums
     never mix levels of different blocks, free crossings between blocks
     cannot trip the degeneracy guard, and each block's guard scales with
-    that block's own spread.  energies are ascending within each block;
-    rows are block offset + in-block position, as in :func:`spectral_frame`.
-    The frame carries no p_matrix: use :func:`spectral_frame` on the whole
-    pair for P.
+    that block's own spread.  energies are ascending within each block, and
+    a level's index is its block offset + in-block position.  Every block
+    size must be at least 1.  The frame carries no p_matrix: use
+    :func:`spectral_frame` on the whole pair for P.
     """
-    if sum(blocks) != pair.dim:
-        raise ValidationError(f"block sizes {blocks} do not add up to dimension {pair.dim}")
-    rows = None if rows is None else np.asarray(rows, dtype=int)
+    if sum(blocks) != pair.dim or min(blocks) < 1:
+        raise ValidationError(f"block sizes {blocks} must be >= 1 and add up to "
+                              f"dimension {pair.dim}")
     offsets = np.cumsum((0,) + tuple(blocks))
-    frames = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        local = None if rows is None else rows[(rows >= lo) & (rows < hi)] - lo
-        frames.append(spectral_frame(pair.block(lo, hi), t, local))
+    frames = [spectral_frame(pair.block(lo, hi), t) for lo, hi in zip(offsets[:-1], offsets[1:])]
     return SpectralFrame(
         energies=np.concatenate([fr.energies for fr in frames]),
         velocities=np.concatenate([fr.velocities for fr in frames]),

@@ -102,8 +102,7 @@ def realization_rows(arm: ArmParams, realization: int):
     holds the window levels dropped by the degeneracy guard and by the
     support-edge margin, as {"dropped_degenerate": .., "dropped_edge": ..}.
     Levels are indexed by position in the ascending spectrum (block offset
-    + in-block position for per-block frames).  Frames evaluate velocities
-    and curvatures of the central window only.
+    + in-block position for per-block frames).
     """
     rng = child_rng(arm.seed, arm.eps_index, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
@@ -112,9 +111,9 @@ def realization_rows(arm: ArmParams, realization: int):
     counts = {"dropped_degenerate": 0, "dropped_edge": 0}
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         if arm.per_block:
-            frame = spectral_frame_blocks(pair, t, arm.blocks, arm.levels)
+            frame = spectral_frame_blocks(pair, t, arm.blocks)
         else:
-            frame = spectral_frame(pair, t, arm.levels)
+            frame = spectral_frame(pair, t)
         idx = select_levels(frame, arm.levels)
         kept, xdot, xddot = unfold_dynamics(arm.model, frame, idx)
         counts["dropped_degenerate"] += len(arm.levels) - len(idx)

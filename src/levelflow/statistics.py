@@ -118,6 +118,17 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
+def _bin_edges(edges) -> np.ndarray:
+    """Bin edges as a float array; raises on fewer than 2 edges, or edges not
+    finite and strictly ascending (their span finite too)."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2:
+        raise ValidationError("need at least two ascending bin edges")
+    if not (np.all(edges[1:] > edges[:-1]) and float(edges[-1]) - float(edges[0]) < np.inf):
+        raise ValidationError("bin edges must be finite and strictly ascending, over a finite span")
+    return edges
+
+
 def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     """Histogram samples over ascending edges.
 
@@ -125,11 +136,7 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     (their span finite too), a NaN sample, or (for the truncated default)
     an empty in-range sample set, for which the density would be undefined.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2:
-        raise ValidationError("need at least two ascending bin edges")
-    if not (np.all(edges[1:] > edges[:-1]) and float(edges[-1]) - float(edges[0]) < np.inf):
-        raise ValidationError("bin edges must be finite and strictly ascending, over a finite span")
+    edges = _bin_edges(edges)
     samples = np.asarray(samples, dtype=float).ravel()
     counts = np.zeros(len(edges) - 1, dtype=int)
     underflow = overflow = 0
@@ -192,11 +199,12 @@ def fit_gamma(edges, density) -> DistributionFit:
     from the curvature of the objective at the minimum (quadratic
     approximation of the residual surface, residual variance estimated from
     the minimum itself).  Requires one edge more than densities and at
-    least 5 non-empty bins; refuses a minimum pinned to a bracket edge, so
+    least 5 non-empty bins, the edges finite and strictly ascending as for
+    :func:`build_histogram`; refuses a minimum pinned to a bracket edge, so
     gamma lies strictly inside the bracket, and a minimum where the
     objective has no positive curvature.
     """
-    edges, density = np.asarray(edges, dtype=float), np.asarray(density, dtype=float)
+    edges, density = _bin_edges(edges), np.asarray(density, dtype=float)
     if density.ndim != 1 or edges.shape != (len(density) + 1,):
         raise ValidationError(f"need one bin edge more than densities, got {edges.size} edges "
                               f"and {density.size} densities")
@@ -296,10 +304,12 @@ def loglog_slope(edges: np.ndarray, density: np.ndarray):
 
     The abscissa is the geometric bin midpoint (for geometric bins any
     fixed within-bin position shifts log x by a constant, leaving the
-    slope unchanged).  Zero-density bins are dropped.  Returns
-    (slope, standard_error).
+    slope unchanged).  Zero-density bins are dropped.  The edges must be
+    positive, finite and strictly ascending.  Returns (slope, standard_error).
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = _bin_edges(edges)
+    if edges[0] <= 0:
+        raise ValidationError(f"log-log bin edges must be positive, got first edge {edges[0]}")
     density = np.asarray(density, dtype=float)
     mids = np.sqrt(edges[1:] * edges[:-1])
     keep = density > 0

@@ -244,27 +244,16 @@ def test_block_frames_match_blockwise_diagonalization():
     frame = spectral_frame_blocks(pair, 0.6, (4, 6))
     top = np.linalg.eigvalsh(hamiltonian_at(pair, 0.6)[:4, :4])
     np.testing.assert_allclose(frame.energies[:4], top, rtol=1e-12)
-    assert frame.p_matrix is None
-    with pytest.raises(ValidationError):
-        spectral_frame_blocks(pair, 0.6, (3, 6))
-
-
-def test_row_frames_equal_full_frames_on_their_rows():
-    pair = goe_pair(50, seed=78)
-    rows = np.arange(12, 37)
-    full = spectral_frame(pair, 0.9)
-    part = spectral_frame(pair, 0.9, rows=rows)
-    others = np.setdiff1d(np.arange(50), rows)
-    assert np.array_equal(part.energies, full.energies)
-    assert np.array_equal(part.degenerate_mask, full.degenerate_mask)
-    for name in ("velocities", "curvatures"):
-        assert np.array_equal(getattr(part, name)[rows], getattr(full, name)[rows])
-        assert np.all(np.isnan(getattr(part, name)[others]))
-    blocks_full = spectral_frame_blocks(pair, 0.9, (20, 30))
-    blocks_part = spectral_frame_blocks(pair, 0.9, (20, 30), rows=rows)
-    assert blocks_part.p_matrix is None and blocks_part.dim == 50
-    assert np.array_equal(blocks_part.curvatures[rows], blocks_full.curvatures[rows])
-    assert np.all(np.isnan(blocks_part.curvatures[others]))
+    assert frame.p_matrix is None and frame.dim == 10
+    for lo, hi in ((0, 4), (4, 10)):
+        block = spectral_frame(pair.block(lo, hi), 0.6)
+        for name in ("energies", "velocities", "curvatures", "degenerate_mask"):
+            assert np.array_equal(getattr(frame, name)[lo:hi], getattr(block, name)), (lo, name)
+    for blocks in ((3, 6), (-1, 11), (0, 10), (10, 0)):
+        with pytest.raises(ValidationError, match="block sizes"):
+            spectral_frame_blocks(pair, 0.6, blocks)
+    with pytest.raises(ValidationError, match="non-empty"):
+        RotatingPair(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_every_frame_comes_from_one_builder():

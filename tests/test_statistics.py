@@ -400,10 +400,23 @@ def test_a_width_outside_zero_to_infinity_is_refused(gamma):
 @pytest.mark.parametrize("edges", [
     [0.0, 1.0, np.nan], [np.nan, 0.0, 1.0], [-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf],
     [0.0, np.inf, np.inf], [-1e308, 1e308],  # the last one's width overflows
+    [1.0, 0.0, -1.0],
 ])
 def test_histogram_edges_must_be_finite(edges):
     with pytest.raises(ValidationError, match="finite and strictly ascending"):
         build_histogram([-0.5, 0.5, 0.5], edges)
+    # the fit and the log-log slope read their edges by the same rule
+    density = np.ones(len(edges) - 1)
+    with pytest.raises(ValidationError, match="finite and strictly ascending"):
+        fit_gamma(edges, density)
+    with pytest.raises(ValidationError, match="finite and strictly ascending"):
+        loglog_slope(edges, density)
+
+
+@pytest.mark.parametrize("first", [-1.0, 0.0])
+def test_loglog_slope_refuses_edges_at_or_below_zero(first):
+    with pytest.raises(ValidationError, match="must be positive"):
+        loglog_slope([first, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
 
 
 def traced_peak(call):
