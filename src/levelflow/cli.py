@@ -92,20 +92,20 @@ class RunConfig:
                                   f"to 6 significant digits; got {shown}")
         check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
         shared = {k: getattr(self, k) for k in _ARM_FIELDS}
-        self.arms = tuple(ArmParams(lam=lambda_from_epsilon(self.n, eps), eps_index=i, **shared)
-                          for i, eps in enumerate(self.epsilon))
+        self.arms = tuple(ArmParams(lam=lambda_from_epsilon(self.n, eps), **shared)
+                          for eps in self.epsilon)
         self.bin_spec = check_bin_spec(self.bins)  # a bare COUNT: each command's own range
 
-    def header_dict(self, eps_index: int | None = None) -> dict:
+    def header_dict(self, index: int | None = None) -> dict:
         """Science configuration for file headers: the fields but EXECUTION_FIELDS, in order."""
         out = {
             ("epsilon_list" if f.name == "epsilon" else f.name): getattr(self, f.name)
             for f in fields(self)
             if f.name not in EXECUTION_FIELDS
         }
-        if eps_index is not None:
-            out["epsilon"] = self.epsilon[eps_index]
-            out["lambda"] = self.arms[eps_index].lam
+        if index is not None:
+            out["epsilon"] = self.epsilon[index]
+            out["lambda"] = self.arms[index].lam
         return out
 
 
@@ -261,15 +261,9 @@ def cmd_simulate(config: RunConfig) -> int:
     for i, eps in enumerate(config.epsilon):
         batch, summary = _run_arm(config, i)
         path = _eps_path(out, eps, multi)
-        write_table(
-            path,
-            config.format,
-            "simulate",
-            config.header_dict(i),
-            SAMPLE_COLUMNS,
-            [getattr(batch, field.name) for field in fields(batch)],  # SAMPLE_COLUMNS order
-            summary=summary,
-        )
+        data = [getattr(batch, field.name) for field in fields(batch)]  # SAMPLE_COLUMNS order
+        write_table(path, config.format, "simulate", config.header_dict(i), SAMPLE_COLUMNS, data,
+                    summary=summary)
         write_summary(str(path) + ".summary.json", summary)
         del batch  # released before the next arm runs
         _print_arm(summary)
@@ -338,25 +332,12 @@ def cmd_sweep(config: RunConfig) -> int:
     overlay_columns = ["bin_center", "universal_density"]
     for i, (eps, summary, hist) in enumerate(zip(config.epsilon, summaries, hists)):
         rows = [edges[:-1], edges[1:], hist.counts, hist.density, reference]
-        write_table(
-            out_dir / f"hist_{arm_label(eps)}.{config.format}",
-            config.format,
-            "sweep",
-            config.header_dict(i),
-            HIST_COLUMNS,
-            rows,
-            summary=summary,
-        )
+        write_table(out_dir / f"hist_{arm_label(eps)}.{config.format}", config.format, "sweep",
+                    config.header_dict(i), HIST_COLUMNS, rows, summary=summary)
         overlay.append(hist.density)
         overlay_columns.append(f"density_{arm_label(eps)}")
-    write_table(
-        out_dir / f"overlay.{config.format}",
-        config.format,
-        "sweep",
-        config.header_dict(),
-        overlay_columns,
-        overlay,
-    )
+    write_table(out_dir / f"overlay.{config.format}", config.format, "sweep", config.header_dict(),
+                overlay_columns, overlay)
     write_summary(out_dir / "summary.json", {"arms": summaries})
     print(f"wrote {out_dir}")
     return 0
@@ -471,21 +452,10 @@ def cmd_fit(args) -> int:
     if args.out:
         grid = np.linspace(edges[0], edges[-1], 201)
         rows = [grid, gamma_pdf(grid, fit.gamma), universal_pdf(grid)]
-        config = {
-            "input": args.input,
-            "input_kind": kind,
-            "gamma": fit.gamma,
-            "gamma_uncertainty": fit.gamma_uncertainty,
-            "objective": fit.objective,
-        }
-        write_table(
-            args.out,
-            args.format,
-            "fit",
-            config,
-            ("K", "fitted_density", "universal_density"),
-            rows,
-        )
+        config = {"input": args.input, "input_kind": kind, "gamma": fit.gamma,
+                  "gamma_uncertainty": fit.gamma_uncertainty, "objective": fit.objective}
+        columns = ("K", "fitted_density", "universal_density")
+        write_table(args.out, args.format, "fit", config, columns, rows)
         print(f"wrote {args.out}")
     return 0
 

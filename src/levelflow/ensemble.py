@@ -64,7 +64,7 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     Child i of a parent seed is PCG64 seeded with
     ``SeedSequence(seed, spawn_key=key)``; distinct keys give streams that
     are independent for all practical purposes.  Used to hand one stream
-    to each (epsilon index, realization index) worker so results do not
+    to each realization, key (0, r) whatever the arm, so results do not
     depend on scheduling.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))

@@ -3,12 +3,12 @@
 One *arm* is a full statistical batch at a single coupling value: many
 independent (H1, H2) draws, each evaluated at a few random path
 positions, central levels selected, dynamics unfolded, then the whole
-pooled batch rescaled and renormalized.  Every realization owns the
-child stream ``(seed, epsilon_index, realization)``, so results are
-independent of how work is scheduled; merging is by realization index
-and all batch reductions run over arrays in that fixed order, which
-makes outputs reproducible bit for bit for a fixed seed, with any worker
-count.
+pooled batch rescaled and renormalized.  Realization r of every arm owns
+the child stream ``(seed, 0, r)``, so the arms of a run share their draws
+and differ only in the coupling, and results are independent of how work
+is scheduled; merging is by realization index and all batch reductions run
+over arrays in that fixed order, which makes outputs reproducible bit for
+bit for a fixed seed, with any worker count.
 
 An arm at coupling exactly zero, the only one that draws block-diagonal
 matrices, runs on per-block frames: its blocks cross freely, and
@@ -51,8 +51,8 @@ class ArmParams:
 
     n: matrix dimension, m: first-block dimension, lam: block coupling
     in [0, 1], alpha: scale of the Gaussian weight, seed: base RNG seed,
-    eps_index: the arm's index in the child streams, t_samples: path
-    positions per realization, window: central share of levels kept.
+    t_samples: path positions per realization, window: central share of
+    levels kept.  Arms that differ only in lam share their draws.
     The scaled coupling eps = sqrt(n) * lam is derived on the fly, never
     stored.  Construction keeps what every realization reads: `model`, the
     DensityModel that checks n, alpha and lam, and `levels`, the window
@@ -64,7 +64,6 @@ class ArmParams:
     lam: float
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
-    eps_index: int = 0
     t_samples: int = 4
     window: float = 0.5
 
@@ -104,7 +103,9 @@ def realization_rows(arm: ArmParams, realization: int):
     Levels are indexed by position in the ascending spectrum (block offset
     + in-block position for per-block frames).
     """
-    rng = child_rng(arm.seed, arm.eps_index, realization)
+    # key (0, r) in every arm; the leading 0 keeps the bytes of single-arm runs, of every first
+    # arm and of perfbench/reference.py's (0, r) redraw
+    rng = child_rng(arm.seed, 0, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
 
     chunks = []
@@ -127,7 +128,7 @@ def realization_rows(arm: ArmParams, realization: int):
 
 def realization_eigenvalues(arm: ArmParams, realization: int) -> np.ndarray:
     """Eigenvalues of a single ensemble draw (density studies)."""
-    return np.linalg.eigvalsh(sample_coupled(arm, child_rng(arm.seed, arm.eps_index, realization)))
+    return np.linalg.eigvalsh(sample_coupled(arm, child_rng(arm.seed, 0, realization)))
 
 
 def single_threaded_blas():

@@ -211,6 +211,9 @@ def fit_gamma(edges, density) -> DistributionFit:
     nonempty = int(np.sum(density > 0))
     if nonempty < 5:
         raise ValidationError(f"need at least 5 non-empty bins to fit, got {nonempty}")
+    peak = float(np.max(np.abs(density)))  # the objective sums squares; the model stays below 5
+    if peak >= 0.5 * np.sqrt(np.finfo(float).max / len(density)):
+        raise NumericalError(f"densities up to {peak:.3g} would overflow the squared residuals")
 
     def objective(g: float) -> float:
         return float(np.mean((density - model_bin_density(edges, g)) ** 2))
@@ -246,13 +249,17 @@ def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
     model_density holds the model's density per bin (for the gamma family
     :func:`model_bin_density`); it is turned into expected counts with the
     histogram's own normalization.  Bins expecting fewer than 1 count are
-    skipped; raises if none is left.
+    skipped; raises if none is left, or if the sum overflows.
     """
-    expected = model_density * hist.widths * hist.norm_count
-    keep = expected >= 1.0
-    if not np.any(keep):
-        raise ValidationError("no bins with usable expected counts")
-    chi2 = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        expected = model_density * hist.widths * hist.norm_count
+        keep = expected >= 1.0
+        if not np.any(keep):
+            raise ValidationError("no bins with usable expected counts")
+        chi2 = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    if not chi2 < np.inf:
+        raise NumericalError(f"chi-square overflows: expected counts reach "
+                             f"{np.max(expected[keep]):.3g}")
     dof = max(int(np.sum(keep)) - 1, 1)
     return chi2 / dof
 

@@ -76,11 +76,10 @@ class DensityModel:
 
     def density(self, e) -> np.ndarray | float:
         """Semicircle density at energy e; zero outside the support."""
-        e = np.asarray(e, dtype=float)
+        r = self.radius
+        ec = np.clip(np.asarray(e, dtype=float), -r, r)  # as in count: no square overflows
         scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
-        out = np.where(
-            np.abs(e) <= self.radius, scale * np.sqrt(np.maximum(self.radius**2 - e**2, 0.0)), 0.0
-        )
+        out = scale * np.sqrt(np.maximum(r**2 - ec**2, 0.0))
         return out if out.ndim else float(out)
 
     def slope(self, e) -> np.ndarray | float:

@@ -328,6 +328,21 @@ def test_density_on_a_sub_range_of_the_support(tmp_path):
     assert summary["chi_square_per_dof"] < 3.0
 
 
+def test_an_arms_output_does_not_depend_on_the_other_couplings_of_its_run(tmp_path):
+    # every arm draws realization r from the same stream, so the epsilon = 1 arm of a two-arm run
+    # writes the bytes of a run at epsilon 1 alone, but for the list it names in its header
+    common = ["--n", 20, "--m", 8, "--realizations", 3, "--seed", 4, "--jobs", 1]
+    assert run(["simulate", *common, "--epsilon", 0, 1, "--out", tmp_path / "two.csv"]) == 0
+    assert run(["simulate", *common, "--epsilon", 1, "--out", tmp_path / "one.csv"]) == 0
+    later, alone = ((tmp_path / name).read_text().splitlines(keepends=True)
+                    for name in ("two_eps1.csv", "one.csv"))
+    lists = ["# epsilon_list = 0,1\n", "# epsilon_list = 1\n"]
+    assert [line for line in later + alone if line.startswith("# epsilon_list")] == lists
+    assert [line for line in later if line not in lists] == [line for line in alone if line not in lists]
+    assert (tmp_path / "two_eps1.csv.summary.json").read_bytes() == \
+        (tmp_path / "one.csv.summary.json").read_bytes()
+
+
 def test_density_requires_single_epsilon(tmp_path):
     code = run(["density", "--n", 20, "--epsilon", 0.1, 1.0, "--out", tmp_path / "d.csv"])
     assert code == 1
@@ -385,7 +400,7 @@ def test_sweep_failing_in_a_later_arm_writes_nothing(tmp_path, monkeypatch):
     real_run_arm = cli.run_arm
 
     def run_arm(arm, realizations, jobs):
-        if arm.eps_index == 1:
+        if arm.lam > 0:  # the later arm, at epsilon 1
             raise ValidationError("second arm refused")
         return real_run_arm(arm, realizations, jobs)
 
@@ -618,6 +633,36 @@ def test_density_without_usable_bins_is_refused(tmp_path, capsys):
     assert code == 1
     assert "no bins with usable expected counts" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_density_whose_chi_square_overflows_is_a_numerical_error(tmp_path, capsys):
+    # bins over +/-1e300: the central bin expects ~1e299 eigenvalues, whose square overflows
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["density", "--n", 4, "--epsilon", 0.01, "--realizations", 1,
+                    "--bins", "5:-1e300:1e300", "--out", out, "--jobs", 1])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: chi-square overflows")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_whose_squared_densities_overflow_is_a_numerical_error(tmp_path, capsys):
+    # samples of scale 1e-300 binned over [0, 1e-300]: densities near 1e300, squares past the
+    # largest double, refused before the search
+    data, out = tmp_path / "tiny.txt", tmp_path / "c.csv"
+    _write_samples(data, 1e-300 * sample_gamma_dist(1.0, 2000, child_rng(9, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["fit", "--input", data, "--bins", "7:0:1e-300", "--out", out])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: densities up to ")
+    assert "would overflow" in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 #: Refused bin specs and their messages, the same from every run command.

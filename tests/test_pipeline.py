@@ -51,6 +51,34 @@ def test_arm_from_epsilon_maps_coupling():
         RunConfig(n=100, m=50, alpha=0.5, epsilon=(11.0,), seed=1)
 
 
+def test_the_arms_of_a_run_share_their_draws(monkeypatch):
+    # realization r of every arm draws one unit-coupling pair from key (0, r) and scales its
+    # cross-block entries by the arm's lambda; sqrt(16) = 4, so lambda is 0.5 and 0.125 exactly
+    drawn = []
+
+    def recorded(arm, rng):
+        drawn.append(sample_coupled(arm, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(levelflow.pipeline, "sample_coupled", recorded)
+    strong, weak = RunConfig(n=16, epsilon=(2.0, 0.5), t_samples=3, seed=5).arms
+    assert (strong.lam, weak.lam) == (0.5, 0.125)
+    rows_strong, counts_strong = realization_rows(strong, 2)
+    rows_weak, counts_weak = realization_rows(weak, 2)
+    assert counts_strong == counts_weak == {"dropped_degenerate": 0, "dropped_edge": 0}
+    np.testing.assert_array_equal(rows_strong[:, 2], rows_weak[:, 2])  # the same path positions
+    pooled_eigenvalues(weak, 3)  # realization 2 draws the first matrix of the pair again
+    assert len(drawn) == 2 + 2 + 3
+    np.testing.assert_array_equal(drawn[-1], drawn[2])
+    m = strong.m
+    for a, b in zip(drawn[:2], drawn[2:4]):  # the pair of each arm
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a[:m, :m], b[:m, :m])
+        np.testing.assert_array_equal(a[m:, m:], b[m:, m:])
+        np.testing.assert_array_equal(a[:m, m:], (strong.lam / weak.lam) * b[:m, m:])
+        np.testing.assert_array_equal(a[m:, :m], (strong.lam / weak.lam) * b[m:, :m])
+
+
 def test_per_block_engages_only_at_zero_coupling():
     assert ArmParams(n=10, m=5, alpha=0.5, lam=0.0, seed=0).per_block
     assert not ArmParams(n=10, m=5, alpha=0.5, lam=1e-7, seed=0).per_block
@@ -76,7 +104,7 @@ def test_an_arm_builds_its_model_and_window_once(tmp_path, monkeypatch):
 def test_an_arms_model_and_levels_follow_its_fields():
     arm = ArmParams(n=20, m=8, alpha=0.5, lam=0.3, seed=1)
     assert [f.name for f in fields(ArmParams)] == [
-        "n", "m", "lam", "alpha", "seed", "eps_index", "t_samples", "window"]
+        "n", "m", "lam", "alpha", "seed", "t_samples", "window"]
     copy = pickle.loads(pickle.dumps(arm))  # how a pool worker gets its arm
     assert copy == arm and copy.model == arm.model
     np.testing.assert_array_equal(copy.levels, arm.levels)
@@ -92,7 +120,7 @@ def test_a_tiny_coupling_runs_on_full_frames():
     arm = ArmParams(n=40, m=20, alpha=0.5, lam=1e-7, seed=3, t_samples=2)
     assert not arm.per_block
     rows, _ = realization_rows(arm, 0)
-    rng = child_rng(arm.seed, arm.eps_index, 0)
+    rng = child_rng(arm.seed, 0, 0)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         kept = rows[rows[:, 2] == t]
@@ -131,7 +159,7 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
     # walked frame by frame: each selected level outside the interior is one dropped_edge,
     # and the rows are the levels unfold_dynamics keeps, the count the benchmark reads
-    rng = child_rng(arm.seed, arm.eps_index, 0)
+    rng = child_rng(arm.seed, 0, 0)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     model = arm.model
     window = window_levels(arm.blocks, arm.window)
@@ -564,7 +592,7 @@ def test_window_choice_insensitivity():
 
 def _full_frame_columns(arm: ArmParams, realization: int) -> np.ndarray:
     """(E, Edot, Eddot, xdot, xddot) of one realization, every frame evaluated on all rows."""
-    rng = child_rng(arm.seed, arm.eps_index, realization)
+    rng = child_rng(arm.seed, 0, realization)
     pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
     model = arm.model
     window = window_levels(arm.blocks, arm.window)
