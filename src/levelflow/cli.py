@@ -401,21 +401,20 @@ def _read_fit_input(path: str, kind: str) -> np.ndarray:
 
 def _binned_density(pairs):
     """(edges, density) of a table of (position, density) rows binned elsewhere: positions are
-    bin centers, strictly ascending and uniformly spaced, and densities are >= 0."""
+    bin centers, strictly ascending and uniformly spaced; `fit_gamma` checks the densities."""
     if len(pairs) < 2:
         raise ValidationError("binned input needs at least two (position, density) rows")
     centers, density = pairs[:, 0], pairs[:, 1]
-    steps = np.diff(centers)
-    if np.any(steps <= 0):
-        raise ValidationError("binned input positions must be strictly ascending")
-    if np.max(steps) - np.min(steps) > 1e-6 * np.mean(steps):
-        raise ValidationError("binned input positions must be uniformly spaced")
-    if np.any(density < 0):
-        at = int(np.argmax(density < 0))  # the first negative row
-        raise ValidationError(f"binned input density {float(density[at])} at position "
-                              f"{float(centers[at])} is negative; densities must be >= 0")
-    width = float(np.mean(steps))
-    edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
+    # a step or an edge past the largest double overflows to inf (inf - inf to NaN), and the
+    # edges are then not finite, which `fit_gamma` refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(centers)
+        if np.any(steps <= 0):
+            raise ValidationError("binned input positions must be strictly ascending")
+        if np.max(steps) - np.min(steps) > 1e-6 * np.mean(steps):
+            raise ValidationError("binned input positions must be uniformly spaced")
+        width = float(np.mean(steps))
+        edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
     return edges, density
 
 

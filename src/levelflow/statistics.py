@@ -38,6 +38,11 @@ STAT_BLOCK = 16384
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 < gamma < np.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+
+
 def universal_pdf(k) -> np.ndarray | float:
     """Universal curvature density 1 / (2 (1 + k^2)^(3/2)): :func:`gamma_pdf` at gamma = 1."""
     return gamma_pdf(k, 1.0)
@@ -45,8 +50,7 @@ def universal_pdf(k) -> np.ndarray | float:
 
 def gamma_pdf(k, gamma: float) -> np.ndarray | float:
     """One-parameter curvature density with mean absolute value gamma."""
-    if not 0 < gamma < np.inf:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     k = np.asarray(k, dtype=float)
     out = 0.5 / (gamma * (1.0 + (k / gamma) ** 2) ** 1.5)
     return out if out.ndim else float(out)
@@ -54,8 +58,7 @@ def gamma_pdf(k, gamma: float) -> np.ndarray | float:
 
 def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
     """Closed-form CDF of :func:`gamma_pdf`."""
-    if not 0 < gamma < np.inf:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     k = np.asarray(k, dtype=float)
     # 0.5 * (1 + z / sqrt(1 + z**2)) in place in two buffers, z and out, neither of them k
     z, out = np.empty_like(k), np.empty_like(k)
@@ -72,16 +75,18 @@ def gamma_cdf(k, gamma: float = 1.0) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _blocks(values: np.ndarray):
-    """(start, view) of consecutive STAT_BLOCK-long slices of a 1-D array."""
-    for start in range(0, len(values), STAT_BLOCK):
-        yield start, values[start : start + STAT_BLOCK]
+def _blocks(samples: np.ndarray):
+    """(start, view) of consecutive STAT_BLOCK-long slices of 1-D samples, refusing a NaN."""
+    for start in range(0, len(samples), STAT_BLOCK):
+        block = samples[start : start + STAT_BLOCK]
+        if np.isnan(np.min(block)):  # min is NaN exactly when a value is, and makes no temporary
+            raise ValidationError("cannot take statistics of NaN samples")
+        yield start, block
 
 
 def sample_gamma_dist(gamma: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF sampler: K = gamma * u / sqrt(1 - u^2), u uniform(-1, 1)."""
-    if not 0 < gamma < np.inf:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     u = rng.uniform(-1.0, 1.0, n)
@@ -115,7 +120,10 @@ class Histogram:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        lo, hi = self.edges[:-1], self.edges[1:]
+        with np.errstate(over="ignore"):  # lo + hi can pass the largest double beyond ~9e307,
+            centers = 0.5 * (lo + hi)  # where the halves are exact and add up to the center
+        return np.where(np.isinf(centers), 0.5 * lo + 0.5 * hi, centers)
 
 
 def _bin_edges(edges) -> np.ndarray:
@@ -134,7 +142,9 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
 
     Raises on fewer than 2 edges, edges not finite and strictly ascending
     (their span finite too), a NaN sample, or (for the truncated default)
-    an empty in-range sample set, for which the density would be undefined.
+    an empty in-range sample set, for which the density would be undefined;
+    a NumericalError where the sample count times a bin width, or a density,
+    passes the largest double (bins some 1e307 wide, or subnormally narrow).
     """
     edges = _bin_edges(edges)
     samples = np.asarray(samples, dtype=float).ravel()
@@ -147,12 +157,16 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
         # np.histogram closes the last bin; samples equal to the top edge are overflow
         counts[-1] -= np.count_nonzero(block == edges[-1])
     total = int(counts.sum())
-    if total + underflow + overflow != len(samples):
-        raise ValidationError("cannot histogram NaN samples")
     norm_count = total if truncated else len(samples)
     if norm_count == 0:
         raise ValidationError("no samples to normalize the histogram density")
-    density = counts / (norm_count * np.diff(edges))
+    widths = np.diff(edges)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        scale = norm_count * widths
+        density = counts / scale
+    if not (np.all(scale < np.inf) and np.all(density < np.inf)):
+        raise NumericalError(f"the density of {norm_count} samples over bins {np.min(widths):.3g} "
+                             f"to {np.max(widths):.3g} wide overflows a double")
     return Histogram(edges, counts, total, underflow, overflow, norm_count, density)
 
 
@@ -198,20 +212,25 @@ def fit_gamma(edges, density) -> DistributionFit:
     FIT_BRACKET by golden-section search.  The one-sigma uncertainty comes
     from the curvature of the objective at the minimum (quadratic
     approximation of the residual surface, residual variance estimated from
-    the minimum itself).  Requires one edge more than densities and at
-    least 5 non-empty bins, the edges finite and strictly ascending as for
-    :func:`build_histogram`; refuses a minimum pinned to a bracket edge, so
-    gamma lies strictly inside the bracket, and a minimum where the
-    objective has no positive curvature.
+    the minimum itself).  Requires edges as for :func:`build_histogram`, one
+    more than densities, which must be finite and >= 0, at least 5 positive;
+    refuses a minimum pinned to a bracket edge, so gamma lies strictly
+    inside the bracket, and a minimum where the objective has no positive
+    curvature.
     """
     edges, density = _bin_edges(edges), np.asarray(density, dtype=float)
     if density.ndim != 1 or edges.shape != (len(density) + 1,):
         raise ValidationError(f"need one bin edge more than densities, got {edges.size} edges "
                               f"and {density.size} densities")
+    usable = (density >= 0) & (density < np.inf)  # NaN is neither
+    if not usable.all():
+        at = int(np.argmin(usable))  # the first bin that is not
+        raise ValidationError(f"density {float(density[at])} of bin {at} [{float(edges[at])}, "
+                              f"{float(edges[at + 1])}] must be finite and >= 0")
     nonempty = int(np.sum(density > 0))
     if nonempty < 5:
         raise ValidationError(f"need at least 5 non-empty bins to fit, got {nonempty}")
-    peak = float(np.max(np.abs(density)))  # the objective sums squares; the model stays below 5
+    peak = float(np.max(density))  # the objective sums squares; the model stays below 5
     if peak >= 0.5 * np.sqrt(np.finfo(float).max / len(density)):
         raise NumericalError(f"densities up to {peak:.3g} would overflow the squared residuals")
 
@@ -288,8 +307,6 @@ def ks_statistic(samples, gamma: float = 1.0) -> float:
     n = len(samples)
     if n == 0:
         raise ValidationError("cannot compute a KS distance of an empty sample set")
-    if np.isnan(samples[-1]):  # the sort puts NaN last
-        raise ValidationError("cannot compute a KS distance of NaN samples")
     above = below = -np.inf
     for start, block in _blocks(samples):
         cdf = gamma_cdf(block, gamma)
@@ -351,8 +368,6 @@ def tail_exponent(samples, k_min: float, k_max: float):
     counts = np.zeros(TAIL_BINS, dtype=int)
     for _, block in _blocks(np.asarray(samples, dtype=float).ravel()):
         magnitudes = np.abs(block)
-        if np.isnan(magnitudes).any():
-            raise ValidationError("cannot fit a tail exponent to NaN samples")
         kept = magnitudes[(magnitudes >= k_min) & (magnitudes <= k_max)]
         counts += np.histogram(kept, bins=edges)[0]
     inside = int(counts.sum())

@@ -472,9 +472,31 @@ def test_fit_refuses_a_negative_binned_density(tmp_path, capsys, fmt):
     assert run(["fit", "--input", data, "--input-kind", "binned", "--format", fmt, "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: binned input density {float(density[20])} at position 0.0 "
-                            "is negative; densities must be >= 0\n")
+    # the refusal is fit_gamma's: one line naming the value and the bin around position 0
+    edges = cli._binned_density(cli._read_fit_input(str(data), "binned"))[0]
+    assert captured.err == (f"error: density {float(density[20])} of bin 20 [{float(edges[20])}, "
+                            f"{float(edges[21])}] must be finite and >= 0\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--n", 20, "--epsilon", 0, 1, "--realizations", 2],
+    ["density", "--n", 20, "--epsilon", 1, "--realizations", 2],
+    ["fit", "--input", "K.txt"],
+])
+def test_bins_some_1e307_wide_are_refused_before_anything_is_written(tmp_path, capsys, command,
+                                                                     monkeypatch):
+    # the density's count times 2e307 overflows: it used to come out 0 where a bin held samples
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("K.txt", sample_gamma_dist(1.0, 100, child_rng(50, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command + ["--bins", "5:0:1e308", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: the density of ") and captured.err.count("\n") == 1
+    assert "overflows a double" in captured.err
+    assert os.listdir(tmp_path) == ["K.txt"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -462,3 +462,50 @@ def test_ks_statistic_refuses_a_nan_anywhere_in_an_ascending_array(where):
     samples[where] = np.nan
     with pytest.raises(ValidationError, match="NaN"):
         ks_statistic(samples, 1.0)
+
+
+@pytest.mark.parametrize("where", [0, STAT_BLOCK - 1, STAT_BLOCK, -1])
+def test_every_sample_statistic_refuses_a_nan_wherever_it_lies(where):
+    # one reader hands the samples out block by block and refuses the NaN before any sum
+    samples = sample_gamma_dist(1.0, 3 * STAT_BLOCK, child_rng(48, 0))
+    samples[where] = np.nan
+    calls = [lambda: ks_statistic(samples, 1.0),
+             lambda: build_histogram(samples, np.linspace(-5.0, 5.0, 42)),
+             lambda: build_histogram(samples, np.linspace(-5.0, 5.0, 42), truncated=False),
+             lambda: tail_exponent(samples, 3.0, 30.0)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="NaN samples"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, None])
+@pytest.mark.parametrize("at", [0, 20, 40])
+def test_fit_gamma_refuses_a_density_that_is_not_finite_and_non_negative(bad, at):
+    # None negates the bin: with bin 20 negated the library used to fit gamma = 1.96
+    edges, density = exact_table()
+    density[at] = -density[at] if bad is None else bad
+    with pytest.raises(ValidationError, match=rf"density {density[at]} of bin {at} "
+                                              rf"\[{edges[at]}, {edges[at + 1]}\] must be finite"):
+        fit_gamma(edges, density)
+
+
+@pytest.mark.parametrize("edges, count", [
+    (np.linspace(0.0, 1e308, 6), 41),  # 41 samples times a 2e307 width
+    (np.linspace(0.0, 1e-320, 6), 1),  # one sample in a subnormal width
+])
+def test_histogram_density_past_the_largest_double_is_refused(edges, count):
+    samples = np.full(count, edges[1])
+    with pytest.raises(NumericalError, match="overflows a double"):
+        build_histogram(samples, edges)
+
+
+def test_histogram_centers_stay_finite_next_to_the_largest_double():
+    hist = build_histogram([1e308], [0.0, 9.5e307, 1.7e308])
+    assert hist.centers.tolist() == [4.75e307, 1.325e308]
+    # elsewhere the bits of 0.5 * (lo + hi), which halving first can miss for subnormal edges
+    rng = np.random.default_rng(49)
+    for edges in (np.linspace(-5.0, 5.0, 42), np.sort(rng.normal(0.0, 1e3, 20)),
+                  [0.0, 1e-300], [3 * 5e-324, 7 * 5e-324]):
+        edges = np.asarray(edges)
+        hist = build_histogram([edges[-1]], edges, truncated=False)  # one overflow, no count
+        assert hist.centers.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
