@@ -45,8 +45,9 @@ def check_scale(n: int, alpha: float) -> None:
 
 def alpha_out_of_range(n: int, alpha: float) -> ValidationError:
     """The refusal of an alpha whose derived scales at n are not finite and positive."""
-    return ValidationError(f"alpha={alpha:g} is out of range at n={n}: sqrt(8 alpha) and "
-                           f"R^2 = n(1 + lambda^2)/(2 alpha) must be finite and positive")
+    return ValidationError(f"alpha={alpha:g} is out of range at n={n}: sqrt(8 alpha), "
+                           f"R^2 = n(1 + lambda^2)/(2 alpha) and the steepest density slope "
+                           f"|rho'| ~ 28.4 alpha/(1 + lambda^2) must be finite and positive")
 
 
 def lambda_from_epsilon(n: int, eps: float) -> float:
@@ -54,8 +55,7 @@ def lambda_from_epsilon(n: int, eps: float) -> float:
 
     The inverse of :attr:`ArmParams.epsilon`; ArmParams refuses a lam outside [0, 1].
     """
-    lam = eps / float(np.sqrt(n))
-    return lam
+    return eps / float(np.sqrt(n))
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:

@@ -75,8 +75,6 @@ class ArmParams:
             raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.window <= 1.0:
-            raise ValidationError(f"window must lie in (0, 1], got {self.window}")
         object.__setattr__(self, "levels", window_levels(self.blocks, self.window))
 
     @property
@@ -225,10 +223,8 @@ def arm_summary(arm: ArmParams, batch: CurvatureBatch, info: dict) -> dict:
     }
     try:
         exponent, stderr = tail_exponent(k, *SUMMARY_TAIL_WINDOW)
-        summary["tail_exponent"] = exponent
-        summary["tail_exponent_stderr"] = stderr
     except ValidationError:
-        summary["tail_exponent"] = None
-        summary["tail_exponent_stderr"] = None
+        exponent = stderr = None
+    summary["tail_exponent"], summary["tail_exponent_stderr"] = exponent, stderr
     return summary
 

@@ -31,16 +31,16 @@ FIT_REL_TOL = 1e-6
 #: Geometric bins of the tail-exponent regression.
 TAIL_BINS = 10
 
-#: Values per block of the exact sample reductions (KS maxima, histogram and
-#: tail counts): their temporaries stay this long whatever the sample size.
+#: Values per block of the exact sample reductions (order check, KS maxima and
+#: histogram counts): their temporaries stay this long whatever the sample size.
 STAT_BLOCK = 16384
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0 < gamma < np.inf:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.5 / np.finfo(float).max < gamma <= 1e300:  # peak 1/(2 gamma), samples < 5e7 gamma
+        raise ValidationError(f"gamma must be positive and finite [2.8e-309, 1e300], got {gamma}")
 
 
 def universal_pdf(k) -> np.ndarray | float:
@@ -52,7 +52,8 @@ def gamma_pdf(k, gamma: float) -> np.ndarray | float:
     """One-parameter curvature density with mean absolute value gamma."""
     _check_gamma(gamma)
     k = np.asarray(k, dtype=float)
-    out = 0.5 / (gamma * (1.0 + (k / gamma) ** 2) ** 1.5)
+    with np.errstate(over="ignore"):  # past |k / gamma| ~ 1e102 the denominator is inf, the pdf 0
+        out = 0.5 / (gamma * (1.0 + (k / gamma) ** 2) ** 1.5)
     return out if out.ndim else float(out)
 
 
@@ -97,20 +98,15 @@ def sample_gamma_dist(gamma: float, n: int, rng: np.random.Generator) -> np.ndar
 class Histogram:
     """Binned samples with half-open bins [e_i, e_{i+1}).
 
-    total counts only the in-range samples; underflow/overflow are kept
-    separately.  norm_count is the count the density was divided by, as
-    :func:`build_histogram` chose it: total under truncated normalization,
-    so the density integrates to 1 over the binned range, else every
-    sample, out-of-range tallies included, so the density is an unbiased
-    estimate of the underlying density on the range, which is what
-    distribution fitting needs.
+    total counts the in-range samples.  norm_count, the count the density was
+    divided by, is total under truncated normalization, so the density integrates
+    to 1 over the range, else every sample, so the density is an unbiased estimate
+    of the underlying density on the range, which distribution fitting needs.
     """
 
     edges: np.ndarray
     counts: np.ndarray
     total: int
-    underflow: int
-    overflow: int
     norm_count: int
     density: np.ndarray
 
@@ -137,6 +133,21 @@ def _bin_edges(edges) -> np.ndarray:
     return edges
 
 
+def _bin_densities(edges: np.ndarray, density) -> np.ndarray:
+    """Densities as a float array, one per bin of checked edges; raises on another
+    count, or on a density that is not finite and >= 0, naming the first such bin."""
+    density = np.asarray(density, dtype=float)
+    if density.ndim != 1 or edges.shape != (len(density) + 1,):
+        raise ValidationError(f"need one bin edge more than densities, got {edges.size} edges "
+                              f"and {density.size} densities")
+    usable = (density >= 0) & (density < np.inf)  # NaN is neither
+    if not usable.all():
+        at = int(np.argmin(usable))  # the first bin that is not
+        raise ValidationError(f"density {float(density[at])} of bin {at} [{float(edges[at])}, "
+                              f"{float(edges[at + 1])}] must be finite and >= 0")
+    return density
+
+
 def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     """Histogram samples over ascending edges.
 
@@ -149,12 +160,9 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     edges = _bin_edges(edges)
     samples = np.asarray(samples, dtype=float).ravel()
     counts = np.zeros(len(edges) - 1, dtype=int)
-    underflow = overflow = 0
     for _, block in _blocks(samples):
         counts += np.histogram(block, bins=edges)[0]
-        underflow += int(np.count_nonzero(block < edges[0]))
-        overflow += int(np.count_nonzero(block >= edges[-1]))
-        # np.histogram closes the last bin; samples equal to the top edge are overflow
+        # np.histogram closes the last bin; samples equal to the top edge are out of range
         counts[-1] -= np.count_nonzero(block == edges[-1])
     total = int(counts.sum())
     norm_count = total if truncated else len(samples)
@@ -167,7 +175,7 @@ def build_histogram(samples, edges, truncated: bool = True) -> Histogram:
     if not (np.all(scale < np.inf) and np.all(density < np.inf)):
         raise NumericalError(f"the density of {norm_count} samples over bins {np.min(widths):.3g} "
                              f"to {np.max(widths):.3g} wide overflows a double")
-    return Histogram(edges, counts, total, underflow, overflow, norm_count, density)
+    return Histogram(edges, counts, total, norm_count, density)
 
 
 @dataclass
@@ -181,7 +189,8 @@ class DistributionFit:
 
 
 def model_bin_density(edges: np.ndarray, gamma: float) -> np.ndarray:
-    """Bin-averaged model density: integral of gamma_pdf over each bin / width."""
+    """Bin-averaged gamma_pdf over edges as :func:`build_histogram` takes them."""
+    edges = _bin_edges(edges)
     cdf = gamma_cdf(edges, gamma)
     return np.diff(cdf) / np.diff(edges)
 
@@ -218,15 +227,8 @@ def fit_gamma(edges, density) -> DistributionFit:
     inside the bracket, and a minimum where the objective has no positive
     curvature.
     """
-    edges, density = _bin_edges(edges), np.asarray(density, dtype=float)
-    if density.ndim != 1 or edges.shape != (len(density) + 1,):
-        raise ValidationError(f"need one bin edge more than densities, got {edges.size} edges "
-                              f"and {density.size} densities")
-    usable = (density >= 0) & (density < np.inf)  # NaN is neither
-    if not usable.all():
-        at = int(np.argmin(usable))  # the first bin that is not
-        raise ValidationError(f"density {float(density[at])} of bin {at} [{float(edges[at])}, "
-                              f"{float(edges[at + 1])}] must be finite and >= 0")
+    edges = _bin_edges(edges)
+    density = _bin_densities(edges, density)
     nonempty = int(np.sum(density > 0))
     if nonempty < 5:
         raise ValidationError(f"need at least 5 non-empty bins to fit, got {nonempty}")
@@ -241,9 +243,8 @@ def fit_gamma(edges, density) -> DistributionFit:
     gamma, best = _golden_minimize(objective, lo, hi)
     span = hi - lo
     if gamma - lo < 2 * FIT_REL_TOL * span or hi - gamma < 2 * FIT_REL_TOL * span:
-        raise NumericalError(
-            f"no interior minimum: fit ran into the bracket edge at gamma={gamma:.6g}"
-        )
+        raise NumericalError(f"no interior minimum: fit ran into the bracket edge at "
+                             f"gamma={gamma:.6g}")
     # Quadratic approximation: sigma^2 = 2 s^2 / SSR''(gamma*), with the
     # residual variance s^2 estimated as SSR_min / (nbins - 1).
     nbins = len(density)
@@ -254,22 +255,19 @@ def fit_gamma(edges, density) -> DistributionFit:
                              f"at gamma={gamma:.6g}")
     s2 = nbins * best / max(nbins - 1, 1)
     uncertainty = float(np.sqrt(2.0 * s2 / (nbins * second)))
-    return DistributionFit(
-        gamma=float(gamma),
-        objective=best,
-        gamma_uncertainty=uncertainty,
-        bins_used=nbins,
-    )
+    return DistributionFit(float(gamma), best, uncertainty, nbins)
 
 
 def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
     """Per-bin Poisson chi-square of the counts against a model, divided by (bins - 1).
 
     model_density holds the model's density per bin (for the gamma family
-    :func:`model_bin_density`); it is turned into expected counts with the
-    histogram's own normalization.  Bins expecting fewer than 1 count are
-    skipped; raises if none is left, or if the sum overflows.
+    :func:`model_bin_density`), finite and >= 0 as :func:`fit_gamma` requires;
+    it is turned into expected counts with the histogram's own normalization.
+    Bins expecting fewer than 1 count are skipped; raises if none is left, or
+    if the sum overflows.
     """
+    model_density = _bin_densities(hist.edges, model_density)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         expected = model_density * hist.widths * hist.norm_count
         keep = expected >= 1.0
@@ -283,25 +281,25 @@ def reduced_chi_square(hist: Histogram, model_density: np.ndarray) -> float:
     return chi2 / dof
 
 
-def _ascending(values: np.ndarray) -> bool:
-    """Whether a 1-D array is ascending (NaN never is), read in overlapping
-    STAT_BLOCK + 1 slices so the comparisons stay one block long."""
-    for start in range(0, len(values) - 1, STAT_BLOCK):
-        block = values[start : start + STAT_BLOCK + 1]
-        if not np.all(block[:-1] <= block[1:]):
-            return False
-    return True
+def _ascending(samples: np.ndarray) -> bool:
+    """Whether 1-D samples are ascending, read through :func:`_blocks` to the
+    end, so a NaN anywhere is refused; the comparisons stay one block long."""
+    ascending, last = True, -np.inf
+    for _, block in _blocks(samples):
+        ascending = ascending and last <= block[0] and bool(np.all(block[:-1] <= block[1:]))
+        last = block[-1]
+    return ascending
 
 
 def ks_statistic(samples, gamma: float = 1.0) -> float:
     """Kolmogorov-Smirnov distance between the samples and the model CDF.
 
-    An ascending array is read where it lies; any other input is sorted
-    into a copy, the one full-length array.  The CDF and the two empirical
-    differences are taken STAT_BLOCK values at a time, in two block buffers.
-    Raises on an empty sample set or a NaN sample.
+    The samples are checked for a NaN first; an ascending array is then
+    read where it lies, and any other input is sorted into a copy, the one
+    full-length array.  The CDF and the two empirical differences are taken
+    STAT_BLOCK values at a time, in two block buffers.  Raises on no samples.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples, dtype=float).ravel()
     if not _ascending(samples):
         samples = np.sort(samples)
     n = len(samples)
@@ -329,12 +327,14 @@ def loglog_slope(edges: np.ndarray, density: np.ndarray):
     The abscissa is the geometric bin midpoint (for geometric bins any
     fixed within-bin position shifts log x by a constant, leaving the
     slope unchanged).  Zero-density bins are dropped.  The edges must be
-    positive, finite and strictly ascending.  Returns (slope, standard_error).
+    positive, finite and strictly ascending, the densities one per bin,
+    finite and >= 0 as :func:`fit_gamma` requires.  Returns (slope, standard_error).
     """
     edges = _bin_edges(edges)
-    if edges[0] <= 0:
-        raise ValidationError(f"log-log bin edges must be positive, got first edge {edges[0]}")
-    density = np.asarray(density, dtype=float)
+    if not (1e-153 <= edges[0] and edges[-1] <= 1e153):  # where edge products are normal doubles
+        raise ValidationError(f"log-log bin edges must be positive, in [1e-153, 1e153], "
+                              f"got [{edges[0]}, {edges[-1]}]")
+    density = _bin_densities(edges, density)
     mids = np.sqrt(edges[1:] * edges[:-1])
     keep = density > 0
     if int(np.sum(keep)) < 3:
@@ -351,29 +351,21 @@ def loglog_slope(edges: np.ndarray, density: np.ndarray):
 
 
 def tail_exponent(samples, k_min: float, k_max: float):
-    """Power-law exponent of the |sample| density over [k_min, k_max].
+    """Power-law exponent of the |sample| density over [k_min, k_max).
 
-    Log density regressed on log |k| over TAIL_BINS geometric bins; for
-    data from the universal law the expected exponent is -3.  Requires at least
-    100 samples inside the window and a window ratio of at least 5, and
-    no NaN sample.  Returns (exponent, standard_error).
+    Log density regressed on log |k| over TAIL_BINS geometric bins, counted
+    by :func:`build_histogram` with its half-open bins; for data from the
+    universal law the expected exponent is -3.  Requires at least 100
+    samples inside the window and a window ratio of at least 5, and no NaN
+    sample.  Returns (exponent, standard_error).
     """
     if not 0 < k_min < k_max < np.inf:
         raise ValidationError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
     if k_max / k_min < 5.0:
-        raise ValidationError(
-            f"window ratio must be at least 5, got {k_max / k_min:.3g}"
-        )
+        raise ValidationError(f"window ratio must be at least 5, got {k_max / k_min:.3g}")
     edges = np.geomspace(k_min, k_max, TAIL_BINS + 1)  # ends exactly k_min and k_max
-    counts = np.zeros(TAIL_BINS, dtype=int)
-    for _, block in _blocks(np.asarray(samples, dtype=float).ravel()):
-        magnitudes = np.abs(block)
-        kept = magnitudes[(magnitudes >= k_min) & (magnitudes <= k_max)]
-        counts += np.histogram(kept, bins=edges)[0]
-    inside = int(counts.sum())
-    if inside < 100:
-        raise ValidationError(
-            f"only {inside} samples inside [{k_min}, {k_max}]; need at least 100"
-        )
-    density = counts / (inside * np.diff(edges))
-    return loglog_slope(edges, density)
+    hist = build_histogram(np.abs(np.asarray(samples, dtype=float)), edges)
+    if hist.total < 100:
+        raise ValidationError(f"only {hist.total} samples inside [{k_min}, {k_max}); "
+                              "need at least 100")
+    return loglog_slope(edges, hist.density)

@@ -46,8 +46,9 @@ class DensityModel:
 
     The one place that knows the density: its support, the interior
     where levels may be unfolded, rho, its slope and its integral.  It
-    refuses a coupling lam outside [0, 1] and a radius R whose square is
-    not finite and positive; n and alpha go through :func:`check_scale`.
+    refuses a coupling lam outside [0, 1], and an alpha whose R^2 or steepest
+    interior slope, ~28.4 alpha / (1 + lam^2), is not finite and positive;
+    n and alpha go through :func:`check_scale`.
     """
 
     n: int
@@ -64,6 +65,9 @@ class DensityModel:
         if not 0.0 < r2 < np.inf:
             raise alpha_out_of_range(self.n, self.alpha)
         object.__setattr__(self, "radius", float(np.sqrt(r2)))
+        with np.errstate(over="ignore"):  # the steepest slope an interior level can meet
+            if not abs(self.slope(self.radius * (1.0 - EDGE_MARGIN))) < np.inf:
+                raise alpha_out_of_range(self.n, self.alpha)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -83,8 +87,10 @@ class DensityModel:
         return out if out.ndim else float(out)
 
     def slope(self, e) -> np.ndarray | float:
-        """d rho / dE strictly inside the support (diverges at the edges)."""
+        """d rho / dE, finite in the interior; refuses other energies (it diverges at the edges)."""
         e = np.asarray(e, dtype=float)
+        if not self.interior(e).all():  # NaN is not interior
+            raise ValidationError("the density slope takes interior energies only")
         scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
         out = -scale * e / np.sqrt(self.radius**2 - e**2)
         return out if out.ndim else float(out)
@@ -133,9 +139,13 @@ def select_levels(frame: SpectralFrame, window: np.ndarray) -> np.ndarray:
 
 def window_levels(blocks: tuple, window_fraction: float) -> np.ndarray:
     """The round(window_fraction * size) levels centred by index in each of
-    the blocks, whose sizes are listed in order (see ArmParams.blocks)."""
-    picked = []
-    offset = 0
+    the blocks, whose sizes are listed in order (see ArmParams.blocks): at least
+    one, each >= 1 as in :func:`levelflow.dynamics.spectral_frame_blocks`."""
+    if len(blocks) == 0 or min(blocks) < 1:
+        raise ValidationError(f"block sizes {blocks} must be >= 1, at least one block")
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValidationError(f"window must lie in (0, 1], got {window_fraction}")
+    picked, offset = [], 0
     for size in blocks:
         keep = max(int(round(window_fraction * size)), 1)
         lo = offset + (size - keep) // 2
@@ -196,9 +206,11 @@ def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
     xddot = batch.unfolded_curvature
     out = np.square(xdot)
     v2 = float(np.mean(out))
-    if v2 == 0.0:
-        raise ValidationError("batch velocity second moment is zero")
+    if not 0.0 < v2 < np.inf:  # NaN is neither
+        raise ValidationError(f"batch velocity second moment is {v2}, not finite and positive")
     cross = float(np.mean(np.multiply(xdot, xddot, out=out)))
+    if not abs(cross) < np.inf:
+        raise ValidationError(f"batch moment <xdot xddot> is {cross}, not finite")
     np.multiply(xdot, cross / v2, out=out)
     np.subtract(xddot, out, out=out)
     out /= np.pi * v2

@@ -198,8 +198,23 @@ def test_alpha_whose_derived_scales_overflow_is_refused(tmp_path, capsys, comman
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("realizations", [2, 50])
+@pytest.mark.parametrize("alpha", [2e307, 1e307, 7e306])
+def test_alpha_whose_density_slope_overflows_is_refused(tmp_path, capsys, realizations, alpha):
+    # the slope at the interior's edge, ~28.4 alpha / (1 + lambda^2), passes the largest double
+    # above ~6.3e306; these runs used to warn in the slope and exit 1 on "NaN samples"
+    code = run(["simulate", "--n", 7, "--m", 1, "--epsilon", 0.3, "--alpha", alpha,
+                "--realizations", realizations, "--t-samples", 2, "--window", 1, "--jobs", 1,
+                "--out", tmp_path / "x.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha={alpha:g} is out of range at n=7") and err.count("\n") == 1
+    assert "density slope" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "density"])
-@pytest.mark.parametrize("alpha", [1e-307, 1e307])
+@pytest.mark.parametrize("alpha", [1e-307, 6e306])  # 6e306: the slope bound is ~6.6e306 here
 def test_alpha_near_the_refused_range_still_runs(tmp_path, command, alpha):
     out = tmp_path / "x.csv"
     code = run([command, "--n", 20, "--epsilon", 1, "--realizations", 2, "--alpha", alpha,
