@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import SpectralFrame
 from .ensemble import DEFAULT_ALPHA, alpha_out_of_range, check_scale
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
 #: not interior (the density derivative diverges at the edge).
@@ -114,21 +114,34 @@ class DensityModel:
         return out if out.ndim else float(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _finite(name: str, compute, *inputs):
+    """compute() with numpy's overflow warnings off, refused unless finite: a ValidationError
+    if one of the inputs is not finite, else a NumericalError (finite values overflowed)."""
+    value = compute()
+    lo, hi = np.minimum.reduce(value, None, initial=0.0), np.maximum.reduce(value, None, initial=0.0)
+    if not -np.inf < lo <= hi < np.inf:  # NaN fails every comparison; no batch-long temporary
+        error = NumericalError if all(np.isfinite(x).all() for x in inputs) else ValidationError
+        raise error(f"{name} is not finite")
+    return value
+
+
 def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray | None = None):
     """Velocities and curvatures of the unfolded positions x(E(t)).
 
     Chain rule through the unfolding map:
         xdot  = rho(E) Edot
         xddot = rho(E) Eddot + (d rho / dE) Edot^2
-    Of the given levels (all by default) it keeps those in the model's
-    interior, where the density slope is finite, drops the rest and
-    returns the kept levels first: (kept, xdot, xddot).
+    It keeps the given levels (all by default) in the model's interior, where rho' is finite,
+    returning them first: (kept, xdot, xddot).  An xdot or xddot that is not finite is refused:
+    NaN or inf Edot or Eddot is a ValidationError, an overflow of finite ones a NumericalError.
     """
     indices = np.arange(frame.dim) if indices is None else np.asarray(indices)
     kept = indices[model.interior(frame.energies[indices])]
-    e, v = frame.energies[kept], frame.velocities[kept]
+    e, v, c = frame.energies[kept], frame.velocities[kept], frame.curvatures[kept]
     rho = model.density(e)
-    return kept, rho * v, rho * frame.curvatures[kept] + model.slope(e) * v**2
+    xdot, xddot = _finite("xdot or xddot", lambda: (rho * v, rho * c + model.slope(e) * v**2), v, c)
+    return kept, xdot, xddot
 
 
 def select_levels(frame: SpectralFrame, window: np.ndarray) -> np.ndarray:
@@ -193,42 +206,37 @@ class CurvatureBatch:
 def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
     """Fill the rescaled column K from the batch velocity moments.
 
-    Two passes: the moments <xdot^2> and <xdot xddot> are taken over the
-    whole batch first, then K = (xddot - (<xdot xddot>/<xdot^2>) xdot)
-    / (pi <xdot^2>) per sample.  The projection removes the component of
-    the curvature correlated with the velocity, so adding any multiple
-    of xdot to xddot leaves K unchanged.  Both passes run in place in the
-    one buffer that becomes K.
+    Two passes: the moments <xdot^2> and <xdot xddot> are taken over the whole batch
+    first, then K = (xddot - (<xdot xddot>/<xdot^2>) xdot) / (pi <xdot^2>) per sample.
+    The projection removes the component of the curvature correlated with the velocity,
+    so adding any multiple of xdot to xddot leaves K unchanged.  Both passes run in place
+    in the one buffer that becomes K.  It refuses an empty batch, <xdot^2> = 0 and a
+    moment or K that is not finite, as :func:`unfold_dynamics` does.
     """
     if len(batch) == 0:
         raise ValidationError("cannot rescale an empty batch")
-    xdot = batch.unfolded_velocity
-    xddot = batch.unfolded_curvature
-    out = np.square(xdot)
-    v2 = float(np.mean(out))
-    if not 0.0 < v2 < np.inf:  # NaN is neither
+    xdot, xddot = batch.unfolded_velocity, batch.unfolded_curvature
+    out = np.empty(len(xdot))
+    v2 = _finite("<xdot^2>", lambda: np.mean(np.square(xdot, out=out)), xdot)
+    if v2 == 0.0:
         raise ValidationError(f"batch velocity second moment is {v2}, not finite and positive")
-    cross = float(np.mean(np.multiply(xdot, xddot, out=out)))
-    if not abs(cross) < np.inf:
-        raise ValidationError(f"batch moment <xdot xddot> is {cross}, not finite")
-    np.multiply(xdot, cross / v2, out=out)
-    np.subtract(xddot, out, out=out)
-    out /= np.pi * v2
-    batch.rescaled = out
+    cross = _finite("<xdot xddot>", lambda: np.mean(np.multiply(xdot, xddot, out=out)), xdot, xddot)
+    batch.rescaled = _finite("K", lambda: np.divide(np.subtract(  # (xddot - xdot cross/v2) / (pi v2)
+        xddot, np.multiply(xdot, cross / v2, out=out), out=out), np.pi * v2, out=out), xdot, xddot)
     return batch
 
 
 def normalize_batch(batch: CurvatureBatch) -> CurvatureBatch:
-    """Fill the normalized column k = K / <|K|> and keep <|K|> as mean_abs_rescaled;
-    afterwards mean |k| is 1."""
+    """Fill the normalized column k = K / <|K|> (mean |k| is 1), keeping <|K|> as mean_abs_rescaled;
+    refuses an unrescaled or empty batch, all-zero K and (as rescale_batch) non-finite <|K|> or k."""
     if batch.rescaled is None:
         raise ValidationError("rescale the batch before normalizing it")
     if len(batch) == 0:
         raise ValidationError("cannot normalize an empty batch")
     out = np.abs(batch.rescaled)  # then k, in place
-    scale = float(np.mean(out))
+    scale = _finite("<|K|>", lambda: float(np.mean(out)), batch.rescaled)
     if scale == 0.0:
         raise ValidationError("all rescaled curvatures vanish; nothing to normalize")
-    batch.normalized = np.divide(batch.rescaled, scale, out=out)
+    batch.normalized = _finite("k", lambda: np.divide(batch.rescaled, scale, out=out), batch.rescaled)
     batch.mean_abs_rescaled = scale
     return batch

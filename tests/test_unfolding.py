@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from levelflow import (
     CurvatureBatch,
     DensityModel,
+    NumericalError,
     ValidationError,
     normalize_batch,
     rescale_batch,
@@ -177,6 +178,20 @@ def test_unfold_dynamics_edge_guard():
         assert len(out) == 0
 
 
+@pytest.mark.parametrize("edot, error", [(1.7976931348623157e308, NumericalError),
+                                         (np.inf, ValidationError), (np.nan, ValidationError),
+                                         (1e160, NumericalError)])
+def test_unfold_dynamics_refuses_a_velocity_that_is_not_finite_or_overflows(edot, error):
+    # the largest double warned in rho * Edot, inf returned inf, NaN returned NaN and 1e160
+    # warned in the square of Edot
+    model = DensityModel(n=10, alpha=0.5, lam=1.0)
+    frame = spectral_frame(goe_pair(10, seed=61), 0.4)
+    assert model.interior(frame.energies[5])
+    frame.velocities[5] = edot
+    with pytest.raises(error):
+        unfold_dynamics(model, frame, np.array([4, 5, 6]))
+
+
 def test_rescale_hand_example():
     batch = make_batch([1.0, -1.0], [2.0, 2.0])
     rescale_batch(batch)
@@ -207,6 +222,13 @@ def test_rescale_errors():
     with pytest.raises(ValidationError):
         rescale_batch(still)
     assert still.rescaled is None  # the in-place buffer is not left behind
+    # finite columns whose <xdot^2>, <xdot xddot> or K overflow a double (each warned)
+    for xdot, xddot in [([1e200, 1.0], [1.0, 1.0]), ([2.0, 1.0], [1e308, -1e308]),
+                        ([1e-160, 1e-160], [1.0, 1.0])]:
+        batch = make_batch(xdot, xddot)
+        with pytest.raises(NumericalError):
+            rescale_batch(batch)
+        assert batch.rescaled is None
 
 
 def test_normalize_batch():
@@ -227,6 +249,10 @@ def test_normalize_errors():
         normalize_batch(make_batch([1.0], [1.0]))  # not rescaled yet
     batch = rescale_batch(make_batch([1.0, -1.0], [0.0, 0.0]))
     with pytest.raises(ValidationError):
+        normalize_batch(batch)
+    assert batch.normalized is None
+    batch.rescaled = np.array([1.7e308, -1.7e308])  # <|K|> overflows (it warned)
+    with pytest.raises(NumericalError):
         normalize_batch(batch)
     assert batch.normalized is None
 
