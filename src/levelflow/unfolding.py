@@ -44,9 +44,10 @@ EDGE_MARGIN = 1e-3
 class DensityModel:
     """Semicircle mean-density model of the coupled ensemble.
 
-    The one place that knows the density: its support, the interior
-    where levels may be unfolded, rho, its slope and its integral.  It
-    refuses a coupling lam outside [0, 1], and an alpha whose R^2 or steepest
+    The one place that knows the density: its support, rho, its integral, and
+    which levels it unfolds with what rho and slope.  rho = scale * sqrt(R^2 - E^2)
+    with scale = 4 alpha / (pi (1 + lam^2)), a plain attribute beside the radius.
+    It refuses a coupling lam outside [0, 1], and an alpha whose R^2 or steepest
     interior slope, ~28.4 alpha / (1 + lam^2), is not finite and positive;
     n and alpha go through :func:`check_scale`.
     """
@@ -65,8 +66,9 @@ class DensityModel:
         if not 0.0 < r2 < np.inf:
             raise alpha_out_of_range(self.n, self.alpha)
         object.__setattr__(self, "radius", float(np.sqrt(r2)))
+        object.__setattr__(self, "scale", 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2)))
         with np.errstate(over="ignore"):  # the steepest slope an interior level can meet
-            if not abs(self.slope(self.radius * (1.0 - EDGE_MARGIN))) < np.inf:
+            if not abs(self.unfolding([self.radius * (1.0 - EDGE_MARGIN)])[2]) < np.inf:
                 raise alpha_out_of_range(self.n, self.alpha)
 
     @property
@@ -74,26 +76,21 @@ class DensityModel:
         """(lo, hi) of the support; the density vanishes outside."""
         return -self.radius, self.radius
 
-    def interior(self, e) -> np.ndarray:
-        """Mask of the energies at least EDGE_MARGIN * R inside the support."""
-        return np.abs(e) <= self.radius * (1.0 - EDGE_MARGIN)
-
     def density(self, e) -> np.ndarray | float:
         """Semicircle density at energy e; zero outside the support."""
         r = self.radius
         ec = np.clip(np.asarray(e, dtype=float), -r, r)  # as in count: no square overflows
-        scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
-        out = scale * np.sqrt(np.maximum(r**2 - ec**2, 0.0))
+        out = self.scale * np.sqrt(np.maximum(r**2 - ec**2, 0.0))
         return out if out.ndim else float(out)
 
-    def slope(self, e) -> np.ndarray | float:
-        """d rho / dE, finite in the interior; refuses other energies (it diverges at the edges)."""
+    def unfolding(self, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(inside, rho, rho') of energies e: the mask of those at least EDGE_MARGIN * R inside
+        the support (NaN is not), where rho' is finite, and rho and d rho / dE at those energies."""
         e = np.asarray(e, dtype=float)
-        if not self.interior(e).all():  # NaN is not interior
-            raise ValidationError("the density slope takes interior energies only")
-        scale = 4.0 * self.alpha / (np.pi * (1.0 + self.lam**2))
-        out = -scale * e / np.sqrt(self.radius**2 - e**2)
-        return out if out.ndim else float(out)
+        inside = np.abs(e) <= self.radius * (1.0 - EDGE_MARGIN)
+        e = e[inside]
+        root = np.sqrt(self.radius**2 - e**2)
+        return inside, self.scale * root, -self.scale * e / root
 
     def count(self, e) -> np.ndarray | float:
         """Cumulative mean level count x(E), the closed-form integral of rho.
@@ -126,21 +123,20 @@ def _finite(name: str, compute, *inputs):
     return value
 
 
-def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray | None = None):
+def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray):
     """Velocities and curvatures of the unfolded positions x(E(t)).
 
     Chain rule through the unfolding map:
         xdot  = rho(E) Edot
         xddot = rho(E) Eddot + (d rho / dE) Edot^2
-    It keeps the given levels (all by default) in the model's interior, where rho' is finite,
+    It keeps the given levels that the model unfolds (see :meth:`DensityModel.unfolding`),
     returning them first: (kept, xdot, xddot).  An xdot or xddot that is not finite is refused:
     NaN or inf Edot or Eddot is a ValidationError, an overflow of finite ones a NumericalError.
     """
-    indices = np.arange(frame.dim) if indices is None else np.asarray(indices)
-    kept = indices[model.interior(frame.energies[indices])]
-    e, v, c = frame.energies[kept], frame.velocities[kept], frame.curvatures[kept]
-    rho = model.density(e)
-    xdot, xddot = _finite("xdot or xddot", lambda: (rho * v, rho * c + model.slope(e) * v**2), v, c)
+    inside, rho, slope = model.unfolding(frame.energies[indices])
+    kept = indices[inside]
+    v, c = frame.velocities[kept], frame.curvatures[kept]
+    xdot, xddot = _finite("xdot or xddot", lambda: (rho * v, rho * c + slope * v**2), v, c)
     return kept, xdot, xddot
 
 

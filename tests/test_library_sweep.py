@@ -196,10 +196,6 @@ REFUSED_ROWS = {
         lambda: DensityModel(n=7, alpha=2e307, lam=0.3 / math.sqrt(7)),
     "DensityModel at alpha=7e306, n=7, eps=0.3":
         lambda: DensityModel(n=7, alpha=7e306, lam=0.3 / math.sqrt(7)),
-    "DensityModel.slope on the edge (divide by zero)": lambda: MODEL.slope(MODEL.radius),
-    "DensityModel.slope next to the edge (overflow in divide)":
-        lambda: STEEP.slope(np.nextafter(STEEP.radius, 0.0)),
-    "DensityModel.slope outside the support (invalid sqrt)": lambda: MODEL.slope(2 * MODEL.radius),
     "rescale_batch with a NaN curvature (all-NaN K)": lambda: rescale_batch(batch_of(*NAN_BATCH)),
     "rescale_batch with a NaN velocity (all-NaN K)":
         lambda: rescale_batch(batch_of(NAN_BATCH[1], np.ones(4))),
@@ -228,7 +224,11 @@ FINITE_ROWS = {
     "ks_statistic of one 0-d sample (TypeError)": lambda: ks_statistic(np.asarray(0.5)),
     "ks_statistic of samples in a column (ValueError)": lambda: ks_statistic([[2.0], [1.0]]),
     "DensityModel just under the slope bound, at the edge of the interior":
-        lambda: STEEP.slope(STEEP.radius * (1.0 - EDGE_MARGIN)),
+        lambda: STEEP.unfolding(STEEP.radius * (1.0 - EDGE_MARGIN)),
+    "DensityModel.unfolding on the edge, next to it and outside the support (the density slope "
+    "divided by zero, overflowed, took an invalid sqrt)":
+        lambda: (MODEL.unfolding([MODEL.radius, 2 * MODEL.radius]),
+                 STEEP.unfolding(np.nextafter(STEEP.radius, 0.0))),
 }
 
 
@@ -275,11 +275,13 @@ def draw_call(rng):
         return name, lambda: select_levels(frame, window_levels(blocks, fraction))
     if name == "DensityModel":
         kwargs, units = model_kwargs(rng), radius_units(rng)
-        method = pick(rng, ["interior", "density", "count", "slope"])
+        method = pick(rng, ["density", "count", "unfolding"])
 
         def call():
             model = DensityModel(**kwargs)
             e = energies(units, model)
+            if method == "unfolding":  # its rho and slope are of the inside energies, never NaN
+                return model.radius, model.unfolding(e)
             return model.radius, elementwise(getattr(model, method), e)()
         return f"{name}.{method}", call
     if name == "unfold_dynamics":
@@ -289,7 +291,7 @@ def draw_call(rng):
         def call():
             model = DensityModel(**kwargs)
             frame = SpectralFrame(energies(units, model), velocities, curvatures, None, degenerate)
-            return unfold_dynamics(model, frame)
+            return unfold_dynamics(model, frame, np.arange(frame.dim))
         return name, call
     if name in ("rescale_batch", "normalize_batch"):
         xdot = hostile(rng)

@@ -155,7 +155,7 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     arm = ArmParams(n=40, m=15, alpha=0.5, lam=lam, seed=3, window=1.0)
     rows, counts = realization_rows(arm, 0)
     assert counts["dropped_edge"] > 0
-    assert np.all(arm.model.interior(rows[:, 3]))
+    assert np.all(arm.model.unfolding(rows[:, 3])[0])
     assert len(rows) + counts["dropped_degenerate"] + counts["dropped_edge"] == arm.t_samples * arm.n
     # walked frame by frame: each selected level outside the interior is one dropped_edge,
     # and the rows are the levels unfold_dynamics keeps, the count the benchmark reads
@@ -167,7 +167,7 @@ def test_realization_rows_drop_edge_levels_outside_the_interior(lam):
     for t in rng.uniform(0.0, 2.0 * np.pi, arm.t_samples):
         frame = spectral_frame_blocks(pair, t, arm.blocks) if arm.per_block else spectral_frame(pair, t)
         idx = select_levels(frame, window)
-        outside += int(np.sum(~model.interior(frame.energies[idx])))
+        outside += int(np.sum(~model.unfolding(frame.energies[idx])[0]))
         kept += len(unfold_dynamics(model, frame, idx)[0])
     assert counts["dropped_edge"] == outside
     assert len(rows) == kept

@@ -3,14 +3,19 @@ import pytest
 from scipy.integrate import quad
 
 from levelflow import (
+    ArmParams,
     CurvatureBatch,
     DensityModel,
     NumericalError,
+    RotatingPair,
     ValidationError,
+    child_rng,
     normalize_batch,
     rescale_batch,
+    sample_coupled,
     select_levels,
     spectral_frame,
+    spectral_frame_blocks,
     unfold_dynamics,
     window_levels,
 )
@@ -72,8 +77,11 @@ def test_support_and_interior():
     assert model.support == (-model.radius, model.radius)
     edge = model.radius * (1.0 - EDGE_MARGIN)
     e = np.array([0.0, edge, np.nextafter(edge, np.inf), -edge, np.nextafter(-edge, -np.inf),
-                  model.radius])
-    assert model.interior(e).tolist() == [True, True, False, True, False, False]
+                  model.radius, 2 * model.radius, np.nan])
+    inside, rho, slope = model.unfolding(e)
+    assert inside.tolist() == [True, True, False, True, False, False, False, False]
+    # rho and its slope come for the inside energies only, so neither meets the edge
+    assert np.array_equal(rho, model.density(e[inside])) and len(slope) == 3
 
 
 def test_mean_density_shape_and_center():
@@ -122,25 +130,28 @@ def test_unfold_matches_quadrature():
 
 
 def test_unfold_dynamics_trivial_cases():
-    model = DensityModel(n=10, alpha=0.5, lam=1.0)
-    frame = spectral_frame(goe_pair(10, seed=61), 0.4)
-    idx = select_levels(frame, window_levels((10,), 0.5))
-    kept, xdot, xddot = unfold_dynamics(model, frame, idx)
-    assert np.array_equal(kept, idx)  # central levels are all interior
-    rho = model.density(frame.energies[idx])
-    slope = model.slope(frame.energies[idx])
-    np.testing.assert_allclose(xdot, rho * frame.velocities[idx], rtol=1e-14)
-    np.testing.assert_allclose(
-        xddot, rho * frame.curvatures[idx] + slope * frame.velocities[idx] ** 2, rtol=1e-14
-    )
-    # with zero velocity the slope term drops: xddot = rho * Eddot
-    flat = spectral_frame(goe_pair(10, seed=61), 0.4)
-    flat.velocities = np.zeros_like(flat.velocities)
-    _, xdot0, xddot0 = unfold_dynamics(model, flat, idx)
-    np.testing.assert_allclose(xdot0, 0.0, atol=0.0)
-    np.testing.assert_allclose(xddot0, rho * flat.curvatures[idx], rtol=1e-14)
-    # at the band centre the density slope vanishes
-    assert model.slope(0.0) == 0.0
+    # the closed-form bits: a density model for other block splits must change this test
+    for m, lam in ((20, 0.1), (8, 0.0)):  # m = n/2 coupled, m = n/5 per-block
+        arm = ArmParams(n=40, m=m, alpha=0.5, lam=lam, seed=61)
+        rng = child_rng(arm.seed, 0, 0)
+        pair = RotatingPair(sample_coupled(arm, rng), sample_coupled(arm, rng))
+        frame = spectral_frame_blocks(pair, 0.4, arm.blocks) if arm.per_block else spectral_frame(pair, 0.4)
+        model, idx = arm.model, select_levels(frame, arm.levels)
+        kept, xdot, xddot = unfold_dynamics(model, frame, idx)
+        assert np.array_equal(kept, idx)  # central levels are all interior
+        e, v, c = frame.energies[idx], frame.velocities[idx], frame.curvatures[idx]
+        rho = model.density(e)
+        s = 4.0 * model.alpha / (np.pi * (1.0 + model.lam**2))
+        slope = -s * e / np.sqrt(model.radius**2 - e**2)
+        assert np.array_equal(xdot, rho * v)
+        assert np.array_equal(xddot, rho * c + slope * v**2)
+        # with zero velocity the slope term drops: xddot = rho * Eddot
+        frame.velocities = np.zeros_like(frame.velocities)
+        _, xdot0, xddot0 = unfold_dynamics(model, frame, idx)
+        assert np.all(xdot0 == 0.0)
+        assert np.array_equal(xddot0, rho * c)
+        # at the band centre the density slope vanishes
+        assert model.unfolding([0.0])[2] == 0.0
 
 
 def test_unfold_dynamics_chain_rule_oracle():
@@ -167,10 +178,10 @@ def test_unfold_dynamics_edge_guard():
     model = DensityModel(n=4, alpha=0.5, lam=1.0)
     frame = spectral_frame(goe_pair(4, seed=63), 0.2)
     frame.energies = np.array([-1.0, 0.0, 1.0, model.radius * 0.9999])
-    kept, xdot, xddot = unfold_dynamics(model, frame)
+    kept, xdot, xddot = unfold_dynamics(model, frame, np.arange(frame.dim))
     assert kept.tolist() == [0, 1, 2]  # level 3 lies inside the edge margin
     # the kept levels carry the bits of a call given only the interior levels
-    inside = np.arange(4)[model.interior(frame.energies)]
+    inside = np.arange(4)[model.unfolding(frame.energies)[0]]
     _, xdot_in, xddot_in = unfold_dynamics(model, frame, inside)
     assert np.array_equal(xdot, xdot_in) and np.array_equal(xddot, xddot_in)
     # a selection of edge levels only leaves three empty arrays
@@ -186,7 +197,7 @@ def test_unfold_dynamics_refuses_a_velocity_that_is_not_finite_or_overflows(edot
     # warned in the square of Edot
     model = DensityModel(n=10, alpha=0.5, lam=1.0)
     frame = spectral_frame(goe_pair(10, seed=61), 0.4)
-    assert model.interior(frame.energies[5])
+    assert model.unfolding(frame.energies[5])[0]
     frame.velocities[5] = edot
     with pytest.raises(error):
         unfold_dynamics(model, frame, np.array([4, 5, 6]))
