@@ -225,10 +225,12 @@ FINITE_ROWS = {
     "ks_statistic of samples in a column (ValueError)": lambda: ks_statistic([[2.0], [1.0]]),
     "DensityModel just under the slope bound, at the edge of the interior":
         lambda: STEEP.unfolding(STEEP.radius * (1.0 - EDGE_MARGIN)),
-    "DensityModel.unfolding on the edge, next to it and outside the support (the density slope "
-    "divided by zero, overflowed, took an invalid sqrt)":
-        lambda: (MODEL.unfolding([MODEL.radius, 2 * MODEL.radius]),
-                 STEEP.unfolding(np.nextafter(STEEP.radius, 0.0))),
+    "DensityModel.unfolding on the edge (the density slope divided by zero)":
+        lambda: MODEL.unfolding(MODEL.radius),
+    "DensityModel.unfolding next to the edge (the density slope overflowed)":
+        lambda: STEEP.unfolding(np.nextafter(STEEP.radius, 0.0)),
+    "DensityModel.unfolding outside the support (the density slope took an invalid sqrt)":
+        lambda: MODEL.unfolding(2 * MODEL.radius),
 }
 
 
