@@ -24,8 +24,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .ensemble import check_scale, lambda_from_epsilon
-from .errors import LevelflowError, ValidationError
+from .ensemble import lambda_from_epsilon
+from .errors import LevelflowError, ValidationError, check_count
 from .pipeline import (ArmParams, arm_summary, pooled_eigenvalues, run_arm, single_threaded_blas,
                        usable_cpus)
 from .statistics import (
@@ -82,15 +82,13 @@ class RunConfig:
     def __post_init__(self):
         if self.m is None:
             self.m = self.n // 2
-        if self.jobs < 0:
-            raise ValidationError(f"jobs must be >= 0, got {self.jobs}")
+        check_count("jobs", self.jobs, 0)
         if self.jobs == 0:
             self.jobs = usable_cpus()
         if len(set(map(arm_label, self.epsilon))) < len(self.epsilon):
             shown = ", ".join(f"{eps:g}" for eps in self.epsilon)
             raise ValidationError(f"epsilon values name output files, so they must differ "
                                   f"to 6 significant digits; got {shown}")
-        check_scale(self.n, self.alpha)  # before lambda_from_epsilon divides by sqrt(n)
         shared = {k: getattr(self, k) for k in _ARM_FIELDS}
         self.arms = tuple(ArmParams(lam=lambda_from_epsilon(self.n, eps), **shared)
                           for eps in self.epsilon)
@@ -199,8 +197,7 @@ def check_bin_spec(spec: str):
         bin_range = (float(parts[1]), float(parts[2])) if len(parts) == 3 else None
     except ValueError as exc:
         raise ValidationError(f"cannot parse bin spec {spec!r}; use COUNT or COUNT:LO:HI") from exc
-    if count < 1:
-        raise ValidationError(f"bin count must be >= 1, got {count}")
+    check_count("bin count", count)
     if bin_range is not None:
         lo, hi = bin_range
         if not -np.inf < lo < hi < np.inf:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 if TYPE_CHECKING:
     from .pipeline import ArmParams
@@ -31,12 +31,14 @@ if TYPE_CHECKING:
 DEFAULT_ALPHA = 0.5
 
 
-def check_scale(n: int, alpha: float) -> None:
-    """Refuse n < 1, or an alpha that is not positive and finite or whose entry scale
-    sqrt(8 alpha) of :func:`sample_goe` overflows.  The coupling and the radius are
+def check_scale(n: int, alpha: float = DEFAULT_ALPHA) -> None:
+    """Refuse an n that is not a count in [1, 2**30) (check_count; below 2**30 an n x n matrix of
+    doubles has fewer than 2**63 bytes), or an alpha that is not positive and finite or whose
+    entry scale sqrt(8 alpha) of :func:`sample_goe` overflows.  The coupling and the radius are
     checked by :class:`levelflow.unfolding.DensityModel`, which owns them."""
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
+    check_count("dimension", n)
+    if n >= 2**30:
+        raise ValidationError(f"dimension must be below 2**30, got {n}")
     if not 0 < alpha < np.inf:
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
     if not 8.0 * alpha < np.inf:
@@ -51,10 +53,11 @@ def alpha_out_of_range(n: int, alpha: float) -> ValidationError:
 
 
 def lambda_from_epsilon(n: int, eps: float) -> float:
-    """Coupling lam of the scaled parameter eps = sqrt(n) * lam, for n >= 1.
+    """Coupling lam of the scaled parameter eps = sqrt(n) * lam, for an n that check_scale takes.
 
     The inverse of :attr:`ArmParams.epsilon`; ArmParams refuses a lam outside [0, 1].
     """
+    check_scale(n)
     return eps / float(np.sqrt(n))
 
 
@@ -65,8 +68,11 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     ``SeedSequence(seed, spawn_key=key)``; distinct keys give streams that
     are independent for all practical purposes.  Used to hand one stream
     to each realization, key (0, r) whatever the arm, so results do not
-    depend on scheduling.
+    depend on scheduling.  The seed and each key are counts >= 0.
     """
+    check_count("seed", seed, 0)
+    for part in key:
+        check_count("key", part, 0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 

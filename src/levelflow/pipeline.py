@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import RotatingPair, spectral_frame, spectral_frame_blocks
 from .ensemble import DEFAULT_ALPHA, child_rng, sample_coupled
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .statistics import ks_statistic, tail_exponent
 from .unfolding import (
     CurvatureBatch,
@@ -71,10 +71,9 @@ class ArmParams:
         object.__setattr__(self, "model", DensityModel(n=self.n, alpha=self.alpha, lam=self.lam))
         if not 1 <= self.m < self.n:
             raise ValidationError(f"block size must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
-        if self.t_samples < 1:
-            raise ValidationError(f"t-samples must be >= 1, got {self.t_samples}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_count("m", self.m)  # the range is the line above
+        check_count("t-samples", self.t_samples)
+        check_count("seed", self.seed, 0)
         object.__setattr__(self, "levels", window_levels(self.blocks, self.window))
 
     @property
@@ -163,8 +162,8 @@ def _map_realizations(task, arm: ArmParams, realizations: int, jobs: int):
     """Results of `task(arm, r)` for r = 0, 1, .. in order, each yielded as it arrives.
 
     At most `jobs` workers run, and never more than the realizations or the usable CPUs."""
-    if realizations < 1:
-        raise ValidationError(f"realization count must be >= 1, got {realizations}")
+    check_count("realization count", realizations)
+    check_count("jobs", jobs)
     task, indices = functools.partial(task, arm), range(realizations)
     workers = min(jobs, realizations, usable_cpus())
     if workers <= 1:

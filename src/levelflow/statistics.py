@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_count
 
 #: Search bracket and relative tolerance of the gamma fit.
 FIT_BRACKET = (0.1, 10.0)
@@ -88,8 +88,7 @@ def _blocks(samples: np.ndarray):
 def sample_gamma_dist(gamma: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF sampler: K = gamma * u / sqrt(1 - u^2), u uniform(-1, 1)."""
     _check_gamma(gamma)
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
+    check_count("sample count", n)
     u = rng.uniform(-1.0, 1.0, n)
     return gamma * u / np.sqrt(1.0 - u**2)
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SpectralFrame
+from .dynamics import SpectralFrame, check_blocks, finite
 from .ensemble import DEFAULT_ALPHA, alpha_out_of_range, check_scale
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 #: Levels closer to the support edge than this fraction of the radius are
 #: not interior (the density derivative diverges at the edge).
@@ -111,18 +111,6 @@ class DensityModel:
         return out if out.ndim else float(out)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _finite(name: str, compute, *inputs):
-    """compute() with numpy's overflow warnings off, refused unless finite: a ValidationError
-    if one of the inputs is not finite, else a NumericalError (finite values overflowed)."""
-    value = compute()
-    lo, hi = np.minimum.reduce(value, None, initial=0.0), np.maximum.reduce(value, None, initial=0.0)
-    if not -np.inf < lo <= hi < np.inf:  # NaN fails every comparison; no batch-long temporary
-        error = NumericalError if all(np.isfinite(x).all() for x in inputs) else ValidationError
-        raise error(f"{name} is not finite")
-    return value
-
-
 def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarray):
     """Velocities and curvatures of the unfolded positions x(E(t)).
 
@@ -136,7 +124,7 @@ def unfold_dynamics(model: DensityModel, frame: SpectralFrame, indices: np.ndarr
     inside, rho, slope = model.unfolding(frame.energies[indices])
     kept = indices[inside]
     v, c = frame.velocities[kept], frame.curvatures[kept]
-    xdot, xddot = _finite("xdot or xddot", lambda: (rho * v, rho * c + slope * v**2), v, c)
+    xdot, xddot = finite("xdot or xddot", lambda: (rho * v, rho * c + slope * v**2), v, c)
     return kept, xdot, xddot
 
 
@@ -147,11 +135,9 @@ def select_levels(frame: SpectralFrame, window: np.ndarray) -> np.ndarray:
 
 
 def window_levels(blocks: tuple, window_fraction: float) -> np.ndarray:
-    """The round(window_fraction * size) levels centred by index in each of
-    the blocks, whose sizes are listed in order (see ArmParams.blocks): at least
-    one, each >= 1 as in :func:`levelflow.dynamics.spectral_frame_blocks`."""
-    if len(blocks) == 0 or min(blocks) < 1:
-        raise ValidationError(f"block sizes {blocks} must be >= 1, at least one block")
+    """The round(window_fraction * size) levels centred by index in each of the blocks, whose
+    sizes, listed in order (see ArmParams.blocks), pass :func:`levelflow.dynamics.check_blocks`."""
+    check_blocks(blocks)
     if not 0.0 < window_fraction <= 1.0:
         raise ValidationError(f"window must lie in (0, 1], got {window_fraction}")
     picked, offset = [], 0
@@ -213,11 +199,11 @@ def rescale_batch(batch: CurvatureBatch) -> CurvatureBatch:
         raise ValidationError("cannot rescale an empty batch")
     xdot, xddot = batch.unfolded_velocity, batch.unfolded_curvature
     out = np.empty(len(xdot))
-    v2 = _finite("<xdot^2>", lambda: np.mean(np.square(xdot, out=out)), xdot)
+    v2 = finite("<xdot^2>", lambda: np.mean(np.square(xdot, out=out)), xdot)
     if v2 == 0.0:
         raise ValidationError(f"batch velocity second moment is {v2}, not finite and positive")
-    cross = _finite("<xdot xddot>", lambda: np.mean(np.multiply(xdot, xddot, out=out)), xdot, xddot)
-    batch.rescaled = _finite("K", lambda: np.divide(np.subtract(  # (xddot - xdot cross/v2) / (pi v2)
+    cross = finite("<xdot xddot>", lambda: np.mean(np.multiply(xdot, xddot, out=out)), xdot, xddot)
+    batch.rescaled = finite("K", lambda: np.divide(np.subtract(  # (xddot - xdot cross/v2) / (pi v2)
         xddot, np.multiply(xdot, cross / v2, out=out), out=out), np.pi * v2, out=out), xdot, xddot)
     return batch
 
@@ -230,9 +216,9 @@ def normalize_batch(batch: CurvatureBatch) -> CurvatureBatch:
     if len(batch) == 0:
         raise ValidationError("cannot normalize an empty batch")
     out = np.abs(batch.rescaled)  # then k, in place
-    scale = _finite("<|K|>", lambda: float(np.mean(out)), batch.rescaled)
+    scale = finite("<|K|>", lambda: float(np.mean(out)), batch.rescaled)
     if scale == 0.0:
         raise ValidationError("all rescaled curvatures vanish; nothing to normalize")
-    batch.normalized = _finite("k", lambda: np.divide(batch.rescaled, scale, out=out), batch.rescaled)
+    batch.normalized = finite("k", lambda: np.divide(batch.rescaled, scale, out=out), batch.rescaled)
     batch.mean_abs_rescaled = scale
     return batch

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from levelflow import (
     DegenerateSpectrumError,
+    EigensolverError,
+    NumericalError,
     RotatingPair,
     StencilCrossingError,
     ValidationError,
@@ -16,7 +20,8 @@ from levelflow import (
     spectral_frame_blocks,
 )
 
-from levelflow.dynamics import DEGENERACY_SCALE, frame_from_p
+from levelflow.dynamics import DEGENERACY_SCALE, _eigh, curvature_sums, frame_from_p
+from levelflow.errors import check_count
 
 from conftest import goe_pair
 
@@ -267,3 +272,76 @@ def test_every_frame_comes_from_one_builder():
         assert np.array_equal(getattr(direct, name), getattr(built, name)), name
         assert np.array_equal(getattr(integrated, name), getattr(rebuilt, name)), name
     np.testing.assert_array_equal(integrated.velocities, np.diag(integrated.p_matrix))
+
+
+def test_a_failed_eigensolve_is_an_eigensolver_error():
+    # no public input reaches it: pairs are finite and bounded, so a NaN matrix is handed to it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EigensolverError, match=r"eigensolver failed \(test\): dim=3"):
+            _eigh(np.full((3, 3), np.nan), "test")
+
+
+def test_a_count_is_an_integer_at_least_its_floor():
+    for value in (1, 7, np.int64(3), np.uint8(2), 2**70):
+        check_count("count", value)
+    check_count("seed", 0, 0)
+    for value, match in ((0, "count must be >= 1, got 0"), (-1, "count must be >= 1, got -1"),
+                         (2.5, "count must be an integer, got 2.5"), (True, "got True"),
+                         (3.0, "got 3.0"), (np.float64(3), "an integer"), ("3", "an integer")):
+        with pytest.raises(ValidationError, match=match):
+            check_count("count", value)
+
+
+def test_pair_entries_must_be_finite_and_within_half_the_largest_double_over_n():
+    pair = goe_pair(4, seed=5)
+    edge = 0.5 * np.finfo(float).max / (4 * (np.abs(pair.h1).max() + np.abs(pair.h2).max()))
+    RotatingPair(pair.h1 * (0.99 * edge), pair.h2 * (0.99 * edge))
+    for h1, h2 in ((pair.h1 * (1.01 * edge), pair.h2 * (1.01 * edge)),
+                   (np.where(np.eye(4) > 0, np.nan, pair.h1), pair.h2),
+                   (pair.h1, np.where(np.eye(4) > 0, -np.inf, pair.h2))):
+        with pytest.raises(ValidationError, match="must be finite"):
+            RotatingPair(h1, h2)
+
+
+def test_a_curvature_sum_that_overflows_is_a_numerical_error():
+    pair = goe_pair(4, seed=5)
+    frame = spectral_frame(pair, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="a curvature sum is not finite"):
+            curvature_sums(frame.energies, frame.p_matrix * 1e160)
+        with pytest.raises(ValidationError, match="not finite"):
+            curvature_sums(np.r_[frame.energies[:3], np.nan], frame.p_matrix)
+        for energies, p in ((frame.energies[:3], frame.p_matrix), (1.0, 1.0)):
+            with pytest.raises(ValidationError, match=r"is not \(n, n\)"):
+                curvature_sums(energies, p)
+    assert np.array_equal(curvature_sums(frame.energies, frame.p_matrix), frame.curvatures)
+
+
+def test_check_positions_must_be_finite_wherever_h_is_formed():
+    pair = goe_pair(4, seed=5)
+    calls = (lambda t: hamiltonian_at(pair, t), lambda t: hamiltonian_rate(pair, t),
+             lambda t: spectral_frame(pair, t), lambda t: spectral_frame_blocks(pair, t, (1, 3)),
+             lambda t: curvature_fd_oracle(pair, t, 1e-4), lambda t: rotation_frame_check(pair, t),
+             lambda t: integrate_motion(pair, t, 0.3, 4), lambda t: integrate_motion(pair, 0.3, t, 4))
+    for t in (np.nan, np.inf, -np.inf):
+        for call in calls:
+            with pytest.raises(ValidationError, match="path position t must be finite"):
+                call(t)
+
+
+def test_stencil_widths_that_the_difference_quotients_cannot_resolve_are_refused():
+    pair = goe_pair(4, seed=5)
+    for t, delta in ((0.3, 1e-300), (0.3, 1e-162), (0.3, 2e154), (0.3, 0.0), (0.3, -1e-4),
+                     (0.3, np.nan), (0.3, np.inf), (1e10, 1e-10), (0.3, 1e-17)):
+        with pytest.raises(ValidationError, match="stencil width"):
+            curvature_fd_oracle(pair, t, delta)
+
+
+def test_integration_steps_too_long_for_the_motion_are_a_numerical_error():
+    pair = goe_pair(4, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            integrate_motion(pair, 0.3, 1e300, 3)
