@@ -52,8 +52,17 @@ class RotatingPair:
         return self.h1.shape[0]
 
     def block(self, lo: int, hi: int) -> "RotatingPair":
-        """Sub-pair restricted to index range [lo, hi)."""
-        return RotatingPair(self.h1[lo:hi, lo:hi], self.h2[lo:hi, lo:hi])
+        """Sub-pair restricted to index range [lo, hi), counts with 0 <= lo < hi <= dim.
+
+        A principal sub-block of a pair that passed the bound passes it too (n' <= n and
+        max|h'| <= max|h|), so the bound is not checked again."""
+        check_count("block start", lo, 0)
+        check_count("block end", hi, lo + 1)
+        if hi > self.dim:
+            raise ValidationError(f"block end must be <= {self.dim}, got {hi}")
+        sub = object.__new__(RotatingPair)
+        sub.__dict__.update(h1=self.h1[lo:hi, lo:hi], h2=self.h2[lo:hi, lo:hi])
+        return sub
 
 
 @dataclass

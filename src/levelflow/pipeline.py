@@ -186,7 +186,12 @@ def run_arm(arm: ArmParams, realizations: int, jobs: int = 1):
     the key-wise sum of the realizations' counts (see :func:`realization_rows`).
     """
     results = _map_realizations(realization_rows, arm, realizations, jobs)
-    rows = np.empty((realizations * arm.t_samples * len(arm.levels), 8))
+    count = realizations * arm.t_samples * len(arm.levels)
+    if count >= 2**57:  # as check_scale's dimension: a block of doubles stays below 2**63 bytes
+        raise ValidationError(f"{realizations} realizations x {arm.t_samples} path positions x "
+                              f"{len(arm.levels)} window levels make a block of {count} rows of 8 "
+                              f"doubles, which must stay below 2**63 bytes")
+    rows = np.empty((count, 8))
     filled, info = 0, {}
     for chunk, counts in results:
         rows[filled : filled + len(chunk)] = chunk

@@ -772,6 +772,21 @@ def test_zero_realizations_is_refused_before_anything_is_written(tmp_path, capsy
     assert list(out.iterdir()) == []  # sweep made no directory
 
 
+@pytest.mark.parametrize("counts, rows", [
+    (["--realizations", 2**62], 2**62 * 4 * 5),
+    (["--t-samples", 2**62, "--realizations", 1], 2**62 * 5),
+])
+def test_a_row_block_past_the_address_space_is_refused(tmp_path, capsys, counts, rows):
+    # n = 10 keeps 5 window levels; 64 B a row, so 2**57 rows would fill 2**63 bytes
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--n", 10, "--epsilon", 1, *counts, "--jobs", 1, "--out", out]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert f"block of {rows} rows" in stderr and "2**63 bytes" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spec", ["garbage", "0", "10:5:-5"])
 @pytest.mark.parametrize("case", ["binned", "missing input"])
 def test_fit_checks_its_bin_spec_before_it_reads_the_input(tmp_path, capsys, spec, case):

@@ -304,6 +304,28 @@ def test_pair_entries_must_be_finite_and_within_half_the_largest_double_over_n()
             RotatingPair(h1, h2)
 
 
+def test_a_block_is_the_slices_of_its_pair_and_needs_counts_in_range(monkeypatch):
+    pair = goe_pair(6, seed=7)
+    for lo, hi in ((0, 6), (0, 1), (2, 5), (np.int64(5), np.int64(6))):
+        sub = pair.block(lo, hi)
+        assert type(sub) is RotatingPair and sub.dim == hi - lo
+        assert np.array_equal(sub.h1, pair.h1[lo:hi, lo:hi])
+        assert np.array_equal(sub.h2, pair.h2[lo:hi, lo:hi])
+        assert np.shares_memory(sub.h1, pair.h1) and np.shares_memory(sub.h2, pair.h2)
+    for lo, hi, match in ((1.5, 3, "block start must be an integer"), (True, 3, "got True"),
+                          (-1, 3, "block start must be >= 0"), (3, 3, "block end must be >= 4"),
+                          (2, 2.0, "block end must be an integer"),
+                          (0, 7, "block end must be <= 6"),
+                          (4, 2, "block end must be >= 5")):
+        with pytest.raises(ValidationError, match=match):
+            pair.block(lo, hi)
+
+    def checked_again(self):
+        raise AssertionError("a block re-ran the bound of its checked pair")
+    monkeypatch.setattr(RotatingPair, "__post_init__", checked_again)
+    assert pair.block(1, 4).dim == 3
+
+
 def test_a_curvature_sum_that_overflows_is_a_numerical_error():
     pair = goe_pair(4, seed=5)
     frame = spectral_frame(pair, 0.3)

@@ -339,6 +339,44 @@ def test_entry_point_starts_no_blas_pool(tmp_path):
     assert threads == 1
 
 
+def test_entry_point_maps_no_libcrypto(tmp_path):
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's libcrypto; the
+    # command blocks _hashlib before numpy loads, and hashlib and hmac fall back to built-ins
+    code, drew, hashlib_entry, libcrypto, digests, pooled, managed = _child(
+        "import json, os, runpy, sys\n"
+        "sys.argv = ['levelflow', 'simulate', '--n', '20', '--epsilon', '1', '--realizations',\n"
+        f"            '2', '--out', {str(tmp_path / 's.csv')!r}, '--jobs', '1']\n"
+        "try:\n"
+        "    runpy.run_module('levelflow', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "libcrypto = None\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        libcrypto = 'libcrypto' in maps.read()\n"
+        "import hashlib, hmac, multiprocessing\n"
+        "digests = [hashlib.sha256(b'abc').hexdigest(),\n"
+        "           hmac.new(b'key', b'message', 'sha256').hexdigest()]\n"
+        "spawn = multiprocessing.get_context('spawn')\n"
+        "with spawn.Pool(1) as pool:\n"
+        "    pooled = pool.map(abs, [-1, -2])\n"
+        "with spawn.Manager() as manager:  # its connections answer the hmac challenge\n"
+        "    managed = list(manager.list([3]))\n"
+        "print(json.dumps([code, 'numpy.random' in sys.modules,\n"
+        "                  repr(sys.modules.get('_hashlib', 'absent')), libcrypto, digests,\n"
+        "                  pooled, managed]))\n",
+    )
+    assert code == 0
+    assert drew  # the run drew its matrices, so it imported numpy.random
+    assert hashlib_entry == "None"
+    assert digests == ["ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                       "6e9ef29b75fffc5b7abae527d58fdadb2fe42e7219011976917343065f58ed4a"]
+    assert pooled == [1, 2] and managed == [3]
+    if libcrypto is None:
+        pytest.skip("no /proc/self/maps to look for libcrypto in")
+    assert libcrypto is False
+
+
 #: The package's exported names, by the module that defines each.
 EXPORTS = {
     "checks": "curvature_fd_oracle integrate_motion rotation_frame_check",
@@ -421,10 +459,32 @@ def test_cli_loads_multiprocessing_only_for_a_pool(tmp_path):
     assert loaded == [False, False, False]
 
 
+def test_fit_loads_no_numpy_random(tmp_path):
+    # fit draws nothing, so it never imports numpy.random, nor the libcrypto that it brings
+    samples, curve = tmp_path / "k.txt", tmp_path / "c.csv"
+    np.savetxt(samples, np.random.default_rng(1).standard_cauchy(2000))
+    loaded = _child(
+        "import json, sys\n"
+        "from levelflow.cli import main\n"
+        f"code = main(['fit', '--input', {str(samples)!r}, '--out', {str(curve)!r}])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n"
+    )
+    assert loaded == [0, True, False]
+
+
 def test_run_arm_validation():
     arm = ArmParams(n=10, m=5, alpha=0.5, lam=0.5, seed=0)
     with pytest.raises(ValidationError):
         run_arm(arm, realizations=0)
+
+
+def test_run_arm_refuses_a_row_block_of_2_to_the_63_bytes():
+    # 4 path positions x 4 window levels a realization, 64 B a row: 2**53 realizations fill 2**63 B
+    arm = ArmParams(n=8, m=4, alpha=0.5, lam=0.5, seed=0)
+    with pytest.raises(ValidationError, match=r"block of 144115188075855872 rows .* 2\*\*63 bytes"):
+        run_arm(arm, realizations=2**53)
+    with pytest.raises(MemoryError):  # one realization less is numpy's to refuse
+        run_arm(arm, realizations=2**53 - 1)
 
 
 def test_run_arm_holds_its_rows_once():
